@@ -50,7 +50,7 @@ void BM_SybaseReconstruct(benchmark::State& state) {
   const int delete_permille = static_cast<int>(state.range(1));
   Rng rng(1234);
   auto db = BuildHistory(n_ops, delete_permille, &rng);
-  std::vector<SybaseLogRow> log = DbccLog(db.get());
+  std::vector<SybaseLogRow> log = DbccLog(db->wal().records());
   auto page_reader = [&](int32_t table_id, int32_t page) {
     return DbccPage(db.get(), table_id, page);
   };

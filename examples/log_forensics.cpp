@@ -79,7 +79,8 @@ int main() {
     std::printf("\n=== Oracle flavor: v$logmnr_contents ===\n");
     Database db(FlavorTraits::Oracle());
     RunHistory(&db);
-    const std::vector<LogMinerRow> view = BuildLogMinerView(&db).value();
+    const std::vector<LogMinerRow> view =
+        BuildLogMinerView(&db, db.wal().records()).value();
     for (const LogMinerRow& row : view) {
       if (row.table_name != "account") continue;
       std::printf("scn=%-4lld xid=%-3lld %-6s\n    redo: %s\n    undo: %s\n",
@@ -94,7 +95,7 @@ int main() {
     std::printf("\n=== Sybase flavor: dbcc log + §4.3 reconstruction ===\n");
     Database db(FlavorTraits::Sybase());
     RunHistory(&db);
-    std::vector<SybaseLogRow> log = DbccLog(&db);
+    std::vector<SybaseLogRow> log = DbccLog(db.wal().records());
     auto page_reader = [&](int32_t table_id, int32_t page) {
       return DbccPage(&db, table_id, page);
     };

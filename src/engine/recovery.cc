@@ -21,7 +21,8 @@ struct TrackedOffset {
   int64_t deleted_by = -1;  // index of the consuming DELETE record, if any
 };
 
-TrackedOffset AdjustOffset(const std::vector<LogRecord>& records, size_t index) {
+template <typename Records>
+TrackedOffset AdjustOffset(const Records& records, size_t index) {
   const LogRecord& rec = records[index];
   TrackedOffset out;
   for (size_t j = index + 1; j < records.size(); ++j) {
@@ -70,12 +71,12 @@ void BumpFromImage(HeapTable* table, const std::string& image) {
   table->BumpCounters(rowid_floor, identity_floor);
 }
 
-}  // namespace
-
-Result<std::unique_ptr<Database>> RecoverDatabase(const WalLog& wal,
-                                                  const FlavorTraits& traits) {
+// The three passes over `records`, any LSN-indexed sequence: a live log's
+// snapshot or the records decoded from its durable bytes.
+template <typename Records>
+Result<std::unique_ptr<Database>> Recover(const Records& records,
+                                          const FlavorTraits& traits) {
   auto db = std::make_unique<Database>(traits);
-  const std::vector<LogRecord>& records = wal.records();
 
   // Losers: transactions that neither committed nor aborted.
   std::set<int64_t> finished;
@@ -194,18 +195,24 @@ Result<std::unique_ptr<Database>> RecoverDatabase(const WalLog& wal,
   return db;
 }
 
+}  // namespace
+
+Result<std::unique_ptr<Database>> RecoverDatabase(const WalLog& wal,
+                                                  const FlavorTraits& traits) {
+  return Recover(wal.records(), traits);
+}
+
 Result<std::unique_ptr<Database>> RecoverDatabaseFromBytes(
     std::string_view wal_bytes, const FlavorTraits& traits,
     WalRecoveryInfo* info) {
   IRDB_ASSIGN_OR_RETURN(WalDecodeResult decoded, DecodeWal(wal_bytes));
-  WalLog wal;
-  for (LogRecord& rec : decoded.records) wal.Append(std::move(rec));
   if (info != nullptr) {
-    info->records_recovered = wal.size();
+    info->records_recovered = static_cast<int64_t>(decoded.records.size());
     info->truncated_tail = decoded.truncated_tail;
     info->dropped_bytes = decoded.dropped_bytes;
   }
-  return RecoverDatabase(wal, traits);
+  // Replayed where they were decoded: reading a log appends to none.
+  return Recover(decoded.records, traits);
 }
 
 }  // namespace irdb

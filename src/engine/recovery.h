@@ -18,9 +18,10 @@
 // concurrently deleted-and-rolled-back by other in-flight transactions
 // (full ARIES page-LSN tracking is out of scope).
 //
-// The recovered database's own WAL restarts empty (a recovered instance
-// begins a fresh log), with transaction/rowid/identity counters advanced
-// past every recovered value.
+// Recovery reads the crashed instance's log without appending to any log:
+// the recovered database begins a fresh WAL that holds only the catalog DDL
+// it replays, with transaction/rowid/identity counters advanced past every
+// recovered value.
 #pragma once
 
 #include <memory>

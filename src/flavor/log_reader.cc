@@ -7,13 +7,9 @@
 
 namespace irdb {
 
-std::vector<int64_t> CommittedTxnIds(const WalLog& wal) {
-  return CommittedTxnIds(wal.records());
-}
-
-std::vector<int64_t> CommittedTxnIds(const std::vector<LogRecord>& records) {
+std::vector<int64_t> CommittedTxnIds(const WalView& log) {
   std::vector<int64_t> out;
-  for (const LogRecord& rec : records) {
+  for (const LogRecord& rec : log) {
     if (rec.op == LogOp::kCommit) out.push_back(rec.txn_id);
   }
   return out;

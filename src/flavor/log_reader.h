@@ -15,12 +15,20 @@ namespace irdb {
 
 class FlavorLogReader {
  public:
+  explicit FlavorLogReader(Database* db) : db_(db) {}
   virtual ~FlavorLogReader() = default;
 
-  // Reconstructs every row operation of every *committed* transaction, in
-  // log order. Must be called before any compensating statement runs (the
-  // Sybase path reads live pages).
-  virtual Result<std::vector<RepairOp>> ReadCommitted() = 0;
+  // Reconstructs every row operation of every *committed* transaction in
+  // `log`, in log order. `log` is a snapshot of the engine's WAL, scanned in
+  // place while the engine may keep appending past it. Must be called
+  // before any compensating statement runs (the Sybase path reads live
+  // pages).
+  virtual Result<std::vector<RepairOp>> ReadCommitted(const WalView& log) = 0;
+
+  // The same over a snapshot of everything logged so far.
+  Result<std::vector<RepairOp>> ReadCommitted() {
+    return ReadCommitted(db_->wal().records());
+  }
 
   virtual std::string name() const = 0;
 
@@ -29,22 +37,9 @@ class FlavorLogReader {
   // decoding out in contiguous log segments stitched back in LSN order.
   void set_pool(util::ThreadPool* pool) { pool_ = pool; }
 
-  // Scan these decoded records instead of the engine's in-memory WAL — the
-  // durable-bytes leg of the parallel pipeline (SerializeWal →
-  // DecodeWalParallel). Content is identical to wal().records(), so either
-  // source yields the same ops.
-  void set_scan_override(std::vector<LogRecord> records) {
-    scan_override_ = std::move(records);
-  }
-  void clear_scan_override() { scan_override_.reset(); }
-
  protected:
-  const std::vector<LogRecord>& ScanRecords(const Database& db) const {
-    return scan_override_ ? *scan_override_ : db.wal().records();
-  }
-
+  Database* db_;
   util::ThreadPool* pool_ = nullptr;
-  std::optional<std::vector<LogRecord>> scan_override_;
 };
 
 // Creates the reader matching `db`'s flavor.
@@ -52,9 +47,8 @@ std::unique_ptr<FlavorLogReader> MakeLogReader(Database* db);
 
 // Shared helpers for readers --------------------------------------------
 
-// Internal txn ids that have a kCommit record in the WAL.
-std::vector<int64_t> CommittedTxnIds(const WalLog& wal);
-std::vector<int64_t> CommittedTxnIds(const std::vector<LogRecord>& records);
+// Internal txn ids that have a kCommit record in `log`.
+std::vector<int64_t> CommittedTxnIds(const WalView& log);
 
 // Runs `build(i)` for i in [0, n) and collects the non-nullopt results in
 // index order. With a multi-lane pool the calls fan out in contiguous

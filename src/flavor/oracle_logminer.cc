@@ -57,19 +57,17 @@ std::string RenderUpdate(const HeapTable& table, const std::string& src,
 
 }  // namespace
 
-Result<std::vector<LogMinerRow>> BuildLogMinerView(
-    Database* db, const std::vector<LogRecord>* records,
-    util::ThreadPool* pool) {
+Result<std::vector<LogMinerRow>> BuildLogMinerView(Database* db,
+                                                   const WalView& log,
+                                                   util::ThreadPool* pool) {
   IRDB_CHECK_MSG(db->traits().has_rowid,
                  "LogMiner emulation requires the rowid pseudo-column");
-  const std::vector<LogRecord>& recs =
-      records != nullptr ? *records : db->wal().records();
-  std::vector<int64_t> committed_list = CommittedTxnIds(recs);
+  std::vector<int64_t> committed_list = CommittedTxnIds(log);
   std::set<int64_t> committed(committed_list.begin(), committed_list.end());
 
   std::vector<size_t> candidates;
-  for (size_t i = 0; i < recs.size(); ++i) {
-    const LogRecord& rec = recs[i];
+  for (size_t i = 0; i < log.size(); ++i) {
+    const LogRecord& rec = log[i];
     if (rec.IsRowOp() && committed.count(rec.txn_id)) candidates.push_back(i);
   }
 
@@ -78,7 +76,7 @@ Result<std::vector<LogMinerRow>> BuildLogMinerView(
   return ParallelBuild<LogMinerRow>(
       pool, candidates.size(),
       [&](size_t k) -> Result<std::optional<LogMinerRow>> {
-        const LogRecord& rec = recs[candidates[k]];
+        const LogRecord& rec = log[candidates[k]];
         HeapTable* table = db->catalog().FindById(rec.table_id);
         if (table == nullptr) return std::optional<LogMinerRow>();
         LogMinerRow row;
@@ -148,10 +146,10 @@ Result<Value> LiteralOf(const sql::Expr& e) {
 
 }  // namespace
 
-Result<std::vector<RepairOp>> OracleLogReader::ReadCommitted() {
-  const std::vector<LogRecord>& records = ScanRecords(*db_);
+Result<std::vector<RepairOp>> OracleLogReader::ReadCommitted(
+    const WalView& log) {
   IRDB_ASSIGN_OR_RETURN(std::vector<LogMinerRow> view,
-                        BuildLogMinerView(db_, &records, pool_));
+                        BuildLogMinerView(db_, log, pool_));
   // Parsing the redo/undo SQL back into ops is per-row pure work; it rides
   // the same segmented fan-out as the view construction above.
   return ParallelBuild<RepairOp>(

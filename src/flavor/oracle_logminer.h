@@ -24,24 +24,21 @@ struct LogMinerRow {
   std::string sql_undo;
 };
 
-// Emulates DBMS_LOGMNR: committed transactions only, log order. `records`
-// overrides db->wal().records() as the scan source (same content expected);
-// a multi-lane `pool` fans the per-record redo/undo SQL rendering out in
-// contiguous log segments, stitched back in SCN order.
+// Emulates DBMS_LOGMNR over `log`, a snapshot of db's WAL: committed
+// transactions only, log order. A multi-lane `pool` fans the per-record
+// redo/undo SQL rendering out in contiguous log segments, stitched back in
+// SCN order.
 Result<std::vector<LogMinerRow>> BuildLogMinerView(
-    Database* db, const std::vector<LogRecord>* records = nullptr,
-    util::ThreadPool* pool = nullptr);
+    Database* db, const WalView& log, util::ThreadPool* pool = nullptr);
 
 class OracleLogReader : public FlavorLogReader {
  public:
-  explicit OracleLogReader(Database* db) : db_(db) {}
+  using FlavorLogReader::FlavorLogReader;
+  using FlavorLogReader::ReadCommitted;
 
-  Result<std::vector<RepairOp>> ReadCommitted() override;
+  Result<std::vector<RepairOp>> ReadCommitted(const WalView& log) override;
 
   std::string name() const override { return "oracle-logminer"; }
-
- private:
-  Database* db_;
 };
 
 }  // namespace irdb

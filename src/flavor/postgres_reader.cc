@@ -4,23 +4,23 @@
 
 namespace irdb {
 
-Result<std::vector<RepairOp>> PostgresLogReader::ReadCommitted() {
-  const std::vector<LogRecord>& records = ScanRecords(*db_);
-  std::vector<int64_t> committed_list = CommittedTxnIds(records);
+Result<std::vector<RepairOp>> PostgresLogReader::ReadCommitted(
+    const WalView& log) {
+  std::vector<int64_t> committed_list = CommittedTxnIds(log);
   std::set<int64_t> committed(committed_list.begin(), committed_list.end());
 
   // Candidate records first, so the parallel fan-out balances over real work
   // (row ops of committed txns) rather than commit/abort markers.
   std::vector<size_t> candidates;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const LogRecord& rec = records[i];
+  for (size_t i = 0; i < log.size(); ++i) {
+    const LogRecord& rec = log[i];
     if (rec.IsRowOp() && committed.count(rec.txn_id)) candidates.push_back(i);
   }
 
   return ParallelBuild<RepairOp>(
       pool_, candidates.size(),
       [&](size_t k) -> Result<std::optional<RepairOp>> {
-        const LogRecord& rec = records[candidates[k]];
+        const LogRecord& rec = log[candidates[k]];
         HeapTable* table = db_->catalog().FindById(rec.table_id);
         if (table == nullptr) return std::optional<RepairOp>();  // dropped since
         RepairOp op;

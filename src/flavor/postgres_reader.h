@@ -12,14 +12,12 @@ namespace irdb {
 
 class PostgresLogReader : public FlavorLogReader {
  public:
-  explicit PostgresLogReader(Database* db) : db_(db) {}
+  using FlavorLogReader::FlavorLogReader;
+  using FlavorLogReader::ReadCommitted;
 
-  Result<std::vector<RepairOp>> ReadCommitted() override;
+  Result<std::vector<RepairOp>> ReadCommitted(const WalView& log) override;
 
   std::string name() const override { return "postgres-walreader"; }
-
- private:
-  Database* db_;
 };
 
 }  // namespace irdb

@@ -6,17 +6,14 @@
 
 namespace irdb {
 
-std::vector<SybaseLogRow> DbccLog(Database* db,
-                                  const std::vector<LogRecord>* records) {
+std::vector<SybaseLogRow> DbccLog(const WalView& log) {
   // `dbcc log` dumps every row record — including those of aborted
   // transactions and the compensation records their rollbacks wrote. The
   // §4.3 offset-adjustment algorithm needs all of them: an aborted DELETE
   // (or a rollback's compensating DELETE) moves rows just like a committed
   // one.
-  const std::vector<LogRecord>& recs =
-      records != nullptr ? *records : db->wal().records();
   std::vector<SybaseLogRow> out;
-  for (const LogRecord& rec : recs) {
+  for (const LogRecord& rec : log) {
     if (!rec.IsRowOp()) continue;
     SybaseLogRow row;
     row.lsn = rec.lsn;
@@ -113,16 +110,16 @@ Result<SybaseImages> RestoreFullImages(
   return images;
 }
 
-Result<std::vector<RepairOp>> SybaseLogReader::ReadCommitted() {
-  const std::vector<LogRecord>& records = ScanRecords(*db_);
-  std::vector<SybaseLogRow> log = DbccLog(db_, &records);
-  std::vector<int64_t> committed_list = CommittedTxnIds(records);
+Result<std::vector<RepairOp>> SybaseLogReader::ReadCommitted(
+    const WalView& wal) {
+  std::vector<SybaseLogRow> log = DbccLog(wal);
+  std::vector<int64_t> committed_list = CommittedTxnIds(wal);
   std::set<int64_t> committed(committed_list.begin(), committed_list.end());
   // Compensation records carry an aborted transaction's id, so the committed
   // filter below removes them from the repair stream; they still participate
   // in offset adjustment through `log`.
   std::set<int64_t> clr_lsns;
-  for (const LogRecord& rec : records) {
+  for (const LogRecord& rec : wal) {
     if (rec.is_clr) clr_lsns.insert(rec.lsn);
   }
 

@@ -38,11 +38,8 @@ struct SybaseLogRow {
   std::vector<ColumnDiff> diff;   // changed slots (MODIFY)
 };
 
-// Emulates `dbcc log`. `records` overrides db->wal().records() as the scan
-// source (same content expected).
-std::vector<SybaseLogRow> DbccLog(Database* db,
-                                  const std::vector<LogRecord>* records =
-                                      nullptr);
+// Emulates `dbcc log` over `log`, a snapshot of a database's WAL.
+std::vector<SybaseLogRow> DbccLog(const WalView& log);
 
 // Emulates `dbcc page`: current raw bytes of one page (empty if bad page).
 std::string DbccPage(Database* db, int32_t table_id, int32_t page);
@@ -65,14 +62,12 @@ Result<SybaseImages> RestoreFullImages(
 
 class SybaseLogReader : public FlavorLogReader {
  public:
-  explicit SybaseLogReader(Database* db) : db_(db) {}
+  using FlavorLogReader::FlavorLogReader;
+  using FlavorLogReader::ReadCommitted;
 
-  Result<std::vector<RepairOp>> ReadCommitted() override;
+  Result<std::vector<RepairOp>> ReadCommitted(const WalView& log) override;
 
   std::string name() const override { return "sybase-dbcc"; }
-
- private:
-  Database* db_;
 };
 
 }  // namespace irdb

@@ -145,7 +145,7 @@ const Metrics& Metrics::Get() {
         "Compensating statements executed by selective undo");
     m->repair_scan_us = r.RegisterCounter(
         "irdb_repair_scan_us_total",
-        "Wall time in the scan phase (log read + decode)", "us");
+        "Wall time in the scan phase (flavor log read)", "us");
     m->repair_scan_sim_us = r.RegisterCounter(
         "irdb_repair_scan_sim_us_total",
         "Simulated 2004-era disk time charged to the scan phase "
@@ -317,14 +317,12 @@ const Metrics& Metrics::Get() {
 const std::vector<SpanDoc>& SpanCatalog() {
   static const std::vector<SpanDoc>* catalog = new std::vector<SpanDoc>{
       {span::kRepairAnalyze,
-       "Whole dependency analysis: scan + correlate. Parent of the scan and "
-       "correlate spans; args: records, threads."},
-      {span::kRepairScanWalDecode,
-       "Durable-bytes leg of the scan: segmented CRC check + decode of the "
-       "serialized WAL (threads > 1 only); args: bytes."},
+       "Whole dependency analysis: scan + correlate over one WAL snapshot. "
+       "Parent of the scan and correlate spans; args: records (the "
+       "snapshot's length), threads."},
       {span::kRepairScanFlavorRead,
-       "Flavor log-reader leg of the scan: ReadCommitted over the "
-       "PostgreSQL/Oracle/Sybase view of the log; args: ops."},
+       "The scan: ReadCommitted over the PostgreSQL/Oracle/Sybase view of "
+       "the WAL snapshot, read in place; args: ops."},
       {span::kRepairCorrelate,
        "ID correlation, dependency-payload parsing, and graph construction "
        "(analysis passes 1-4)."},

@@ -150,7 +150,6 @@ const std::vector<EventDoc>& EventCatalog();
 // name out of the documented catalog.
 namespace span {
 inline constexpr const char* kRepairAnalyze = "repair.analyze";
-inline constexpr const char* kRepairScanWalDecode = "repair.scan.wal_decode";
 inline constexpr const char* kRepairScanFlavorRead = "repair.scan.flavor_read";
 inline constexpr const char* kRepairCorrelate = "repair.correlate";
 inline constexpr const char* kRepairClosure = "repair.closure";

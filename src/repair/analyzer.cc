@@ -10,13 +10,13 @@
 
 namespace irdb::repair {
 
-Result<DependencyAnalysis> Analyze(FlavorLogReader* reader, DbConnection* admin,
-                                   util::ThreadPool* pool,
+Result<DependencyAnalysis> Analyze(FlavorLogReader* reader, const WalView& log,
+                                   DbConnection* admin, util::ThreadPool* pool,
                                    RepairPhaseStats* phases) {
   DependencyAnalysis out;
   reader->set_pool(pool);
   obs::Span scan_span(obs::span::kRepairScanFlavorRead);
-  IRDB_ASSIGN_OR_RETURN(out.ops, reader->ReadCommitted());
+  IRDB_ASSIGN_OR_RETURN(out.ops, reader->ReadCommitted(log));
   scan_span.AddArg("ops", static_cast<int64_t>(out.ops.size()));
   {
     // One measurement serves phase stats, the registry, and the trace.

@@ -32,14 +32,15 @@ struct DependencyAnalysis {
   DependencyGraph graph;
 };
 
-// Reads the whole log through `reader` and builds the analysis. When `admin`
-// is non-null the annot table is consulted for node labels (Fig. 3).
+// Reads `log` through `reader` and builds the analysis. When `admin` is
+// non-null the annot table is consulted for node labels (Fig. 3).
 //
 // A multi-lane `pool` parallelizes the scan (inside the reader — the pool is
 // handed to it) and the reconstructed-edge pass, with per-chunk results
 // stitched in log order so the analysis is identical to the serial one.
 // `phases` (optional) receives the scan / correlate wall-time split.
-Result<DependencyAnalysis> Analyze(FlavorLogReader* reader, DbConnection* admin,
+Result<DependencyAnalysis> Analyze(FlavorLogReader* reader, const WalView& log,
+                                   DbConnection* admin,
                                    util::ThreadPool* pool = nullptr,
                                    RepairPhaseStats* phases = nullptr);
 

@@ -11,7 +11,6 @@
 #include "obs/catalog.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
-#include "txn/wal_codec.h"
 #include "util/string_utils.h"
 
 namespace irdb::repair {
@@ -83,60 +82,32 @@ Result<DependencyAnalysis> RepairEngine::Analyze() {
   phases_ = RepairPhaseStats{};
   phases_.threads = threads_;
   obs::Count(obs::Metrics::Get().repair_runs);
+  // One snapshot bounds the scan, the span and the phase accounting, so they
+  // cover the same records even while live commits keep appending.
+  const WalView log = db_->wal().records();
   obs::Span analyze(obs::span::kRepairAnalyze);
-  analyze.AddArg("records", static_cast<int64_t>(db_->wal().records().size()));
+  analyze.AddArg("records", static_cast<int64_t>(log.size()));
   analyze.AddArg("threads", threads_);
 
-  if (pool_) {
-    // Durable-bytes leg of the segmented scan: frame-split the serialized
-    // WAL and decode the segments concurrently. The decoded records are the
-    // same content as the in-memory log, handed to the reader as its scan
-    // source; if the bytes carry a torn tail (only possible under fault
-    // injection) the live WAL stays authoritative and the reader scans it
-    // directly instead.
-    obs::Span scan(obs::span::kRepairScanWalDecode);
-    const std::string bytes = SerializeWal(db_->wal());
-    scan.AddArg("bytes", static_cast<int64_t>(bytes.size()));
-    IRDB_ASSIGN_OR_RETURN(WalDecodeResult decoded,
-                          DecodeWalParallel(bytes, pool_.get()));
-    if (!decoded.truncated_tail &&
-        decoded.records.size() == db_->wal().records().size()) {
-      reader_->set_scan_override(std::move(decoded.records));
-    } else {
-      reader_->clear_scan_override();
-    }
-    // The span's own measurement feeds the phase accumulator and the
-    // registry, so the trace always sums to RepairPhaseStats.
-    const double ms = scan.End();
-    phases_.scan_wall_ms += ms;
-    obs::Count(obs::Metrics::Get().repair_scan_us, std::llround(ms * 1000.0));
-  } else {
-    reader_->clear_scan_override();
-  }
-
-  auto analysis = repair::Analyze(reader_.get(), &admin_, pool_.get(), &phases_);
-  reader_->clear_scan_override();
+  auto analysis =
+      repair::Analyze(reader_.get(), log, &admin_, pool_.get(), &phases_);
   if (!analysis.ok()) return analysis.status();
 
   // Simulated scan charge: sequential log read + per-record image decoding,
   // split into the same contiguous segments the parallel scan uses. Lanes
   // run concurrently, so the parallel charge is the largest segment's.
-  const std::vector<LogRecord>& records = db_->wal().records();
-  phases_.records_scanned = static_cast<int64_t>(records.size());
-  for (const LogRecord& rec : records) {
-    phases_.image_bytes_scanned += ImageBytes(rec);
-  }
-  const auto segments = util::ThreadPool::SplitRange(
-      static_cast<int64_t>(records.size()), threads_);
+  phases_.records_scanned = static_cast<int64_t>(log.size());
+  const auto segments =
+      util::ThreadPool::SplitRange(static_cast<int64_t>(log.size()), threads_);
   phases_.scan_segments = std::max<int>(1, static_cast<int>(segments.size()));
   double max_segment_s = 0, total_s = 0;
   for (const auto& [begin, end] : segments) {
     double segment_s = 0;
     for (int64_t i = begin; i < end; ++i) {
-      segment_s +=
-          costs_.scan_record_seconds +
-          costs_.scan_byte_seconds *
-              static_cast<double>(ImageBytes(records[static_cast<size_t>(i)]));
+      const int64_t bytes = ImageBytes(log[static_cast<size_t>(i)]);
+      phases_.image_bytes_scanned += bytes;
+      segment_s += costs_.scan_record_seconds +
+                   costs_.scan_byte_seconds * static_cast<double>(bytes);
     }
     max_segment_s = std::max(max_segment_s, segment_s);
     total_s += segment_s;

@@ -8,9 +8,9 @@
 //   auto report = eng.Repair(seeds, policy);         // selective rollback
 //
 // `threads` > 1 switches every phase to the parallel pipeline (DESIGN.md
-// §5c): segmented log scan over the durable WAL bytes, sharded dependency
+// §5c): segmented scan of one WAL snapshot in place, sharded dependency
 // closure, per-table batched compensation. Results are identical to
-// threads=1, which in turn runs the exact serial code paths. Per-phase
+// threads=1, which scans the same snapshot serially. Per-phase
 // wall/simulated timings accumulate in phase_stats().
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "txn/wal_codec.h"
 
-#include <algorithm>
 #include <array>
 
 #include "obs/catalog.h"
@@ -11,8 +10,8 @@ namespace irdb {
 
 namespace {
 
-// Both decoders report a detected torn tail here, so the counter and the
-// journal agree regardless of which path found it.
+// Every detected torn tail is reported here, so the counter and the
+// journal agree.
 void NoteTornTail(int64_t dropped_bytes) {
   obs::Count(obs::Metrics::Get().wal_torn_tails);
   obs::EventJournal::Default().Append(
@@ -165,6 +164,14 @@ Result<LogRecord> DecodePayload(std::string_view payload) {
   return rec;
 }
 
+// Appends one framed record to `out`.
+void AppendWalFrame(const LogRecord& rec, std::string* out) {
+  const std::string payload = EncodePayload(rec);
+  PutU32(static_cast<uint32_t>(payload.size()), out);
+  PutU32(Crc32(payload), out);
+  out->append(payload);
+}
+
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
@@ -174,13 +181,6 @@ uint32_t Crc32(std::string_view bytes) {
     c = kTable[(c ^ static_cast<uint8_t>(ch)) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
-}
-
-void AppendWalFrame(const LogRecord& rec, std::string* out) {
-  const std::string payload = EncodePayload(rec);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  PutU32(Crc32(payload), out);
-  out->append(payload);
 }
 
 std::string SerializeWal(const WalLog& wal) {
@@ -239,103 +239,6 @@ Result<WalDecodeResult> DecodeWal(std::string_view bytes) {
     IRDB_ASSIGN_OR_RETURN(LogRecord rec, DecodePayload(payload));
     result.records.push_back(std::move(rec));
     pos += 8 + len;
-  }
-  return result;
-}
-
-Result<WalDecodeResult> DecodeWalParallel(std::string_view bytes,
-                                          util::ThreadPool* pool) {
-  if (pool == nullptr || pool->lanes() <= 1) return DecodeWal(bytes);
-
-  // Pass 1 — frame boundaries from the length headers only. This is the walk
-  // DecodeWal performs, minus CRC and payload work, so the two agree on where
-  // every frame starts and which bytes form the torn tail.
-  struct Frame {
-    size_t payload_pos;
-    uint32_t len;
-    uint32_t crc;
-  };
-  WalDecodeResult result;
-  std::vector<Frame> frames;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    const size_t remaining = bytes.size() - pos;
-    uint32_t len = 0, crc = 0;
-    if (remaining >= 8) {
-      Reader header(bytes.substr(pos, 8));
-      header.ReadU32(&len);
-      header.ReadU32(&crc);
-    }
-    if (remaining < 8 || remaining < 8 + static_cast<size_t>(len)) {
-      result.truncated_tail = true;
-      result.dropped_bytes = static_cast<int64_t>(remaining);
-      NoteTornTail(result.dropped_bytes);
-      break;
-    }
-    frames.push_back(Frame{pos + 8, len, crc});
-    pos += 8 + len;
-  }
-
-  // Pass 2 — CRC + payload decode, fanned out over contiguous segments.
-  // Each chunk owns its output slots and reports at most one error; the
-  // lowest-index error wins, which is the one the serial decoder would have
-  // hit first.
-  result.records.resize(frames.size());
-  const int nchunks =
-      static_cast<int>(util::ThreadPool::SplitRange(
-                           static_cast<int64_t>(frames.size()), pool->lanes())
-                           .size());
-  std::vector<Status> chunk_status(static_cast<size_t>(std::max(1, nchunks)),
-                                   Status::Ok());
-  std::vector<size_t> chunk_bad_frame(static_cast<size_t>(std::max(1, nchunks)),
-                                      frames.size());
-  pool->ParallelFor(
-      static_cast<int64_t>(frames.size()),
-      [&](int64_t begin, int64_t end, int chunk) {
-        for (int64_t i = begin; i < end; ++i) {
-          const Frame& f = frames[static_cast<size_t>(i)];
-          const std::string_view payload = bytes.substr(f.payload_pos, f.len);
-          if (Crc32(payload) != f.crc) {
-            chunk_status[chunk] = Status::Internal(
-                "WAL corruption: checksum mismatch on interior record " +
-                std::to_string(i));
-            chunk_bad_frame[chunk] = static_cast<size_t>(i);
-            return;
-          }
-          auto rec = DecodePayload(payload);
-          if (!rec.ok()) {
-            chunk_status[chunk] = rec.status();
-            chunk_bad_frame[chunk] = static_cast<size_t>(i);
-            return;
-          }
-          result.records[static_cast<size_t>(i)] = std::move(rec).value();
-        }
-      });
-
-  size_t first_bad = frames.size();
-  Status first_status = Status::Ok();
-  for (size_t c = 0; c < chunk_status.size(); ++c) {
-    if (!chunk_status[c].ok() && chunk_bad_frame[c] < first_bad) {
-      first_bad = chunk_bad_frame[c];
-      first_status = chunk_status[c];
-    }
-  }
-  if (first_bad < frames.size()) {
-    // A checksum-failing FINAL frame is the torn tail, exactly as in the
-    // serial policy; anything earlier (or a malformed payload) is corruption.
-    const Frame& f = frames[first_bad];
-    const bool is_last_frame = f.payload_pos + f.len == bytes.size() &&
-                               first_bad + 1 == frames.size();
-    const bool is_crc_failure = Crc32(bytes.substr(f.payload_pos, f.len)) != f.crc;
-    if (is_last_frame && is_crc_failure && !result.truncated_tail) {
-      result.records.resize(first_bad);
-      result.truncated_tail = true;
-      result.dropped_bytes =
-          static_cast<int64_t>(bytes.size() - (f.payload_pos - 8));
-      NoteTornTail(result.dropped_bytes);
-      return result;
-    }
-    return first_status;
   }
   return result;
 }

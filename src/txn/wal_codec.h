@@ -23,19 +23,16 @@
 
 #include "txn/wal_log.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace irdb {
 
 // CRC-32 (IEEE 802.3 polynomial, bit-reflected), table-driven.
 uint32_t Crc32(std::string_view bytes);
 
-// Appends one framed record to `out`.
-void AppendWalFrame(const LogRecord& rec, std::string* out);
-
-// Serializes the whole log. Failpoint "wal.serialize.torn": when triggered,
-// tears the tail by dropping 1..(last frame size - 1) trailing bytes,
-// simulating a crash mid-way through the final frame's write.
+// Serializes a snapshot of the log: every record appended before the call.
+// Failpoint "wal.serialize.torn": when triggered, tears the tail by dropping
+// 1..(last frame size - 1) trailing bytes, simulating a crash mid-way
+// through the final frame's write.
 std::string SerializeWal(const WalLog& wal);
 
 struct WalDecodeResult {
@@ -46,15 +43,5 @@ struct WalDecodeResult {
 
 // Decodes frames back into records, applying the torn-tail policy above.
 Result<WalDecodeResult> DecodeWal(std::string_view bytes);
-
-// Segmented parallel decode: a cheap header-only pass walks the frame
-// boundaries (the identical walk DecodeWal performs, so torn-tail
-// classification cannot diverge), then the CRC checks and payload decodes —
-// the expensive part — fan out across `pool` in contiguous frame segments
-// stitched back in frame (= LSN) order. Returns exactly what DecodeWal
-// returns on every input, including the error for interior corruption; with
-// a null or single-threaded pool it simply delegates to DecodeWal.
-Result<WalDecodeResult> DecodeWalParallel(std::string_view bytes,
-                                          util::ThreadPool* pool);
 
 }  // namespace irdb

@@ -177,7 +177,7 @@ TEST(LogMinerTest, RedoSqlReplaysTheDatabase) {
   // rowids). Real LogMiner redo is similarly only valid against the original
   // database's physical ROWIDs.
   RunMixedHistory(d, 31337, /*rollback_prob=*/0.0);
-  auto view = BuildLogMinerView(d.db.get());
+  auto view = BuildLogMinerView(d.db.get(), d.db->wal().records());
   ASSERT_TRUE(view.ok());
 
   Database replay(FlavorTraits::Oracle());
@@ -204,7 +204,7 @@ TEST(LogMinerTest, UndoSqlInvertsRedo) {
   Exec(d, "INSERT INTO t(k, v, s) VALUES (1, 10, 'a')");
   const uint64_t before = d.db->StateHash({"t"});
   Exec(d, "UPDATE t SET v = 99 WHERE k = 1");
-  auto view = BuildLogMinerView(d.db.get());
+  auto view = BuildLogMinerView(d.db.get(), d.db->wal().records());
   ASSERT_TRUE(view.ok());
   // Apply the last UPDATE's undo through plain SQL.
   const LogMinerRow& last = view->back().operation == "UPDATE"

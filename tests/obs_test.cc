@@ -2,7 +2,7 @@
 // Prometheus/Chrome-trace/journal rendering, and the pipeline-level
 // consistency contracts — registry counters mirror ProxyStats, repair span
 // durations sum to RepairPhaseStats, journal per-type counts match their
-// paired counters.
+// paired counters, recovery counts no WAL appends it did not make.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "core/resilient_db.h"
+#include "engine/recovery.h"
 #include "obs/catalog.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "txn/wal_codec.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 
@@ -340,8 +342,7 @@ TEST(PipelineObsTest, RepairSpanDurationsSumToPhaseStats) {
       span_ms[e.name] += static_cast<double>(e.dur_us) / 1000.0;
     }
     const repair::RepairPhaseStats& ph = rdb.repair().phase_stats();
-    const double scan_spans = span_ms["repair.scan.wal_decode"] +
-                              span_ms["repair.scan.flavor_read"];
+    const double scan_spans = span_ms["repair.scan.flavor_read"];
     // Each span rounds its duration to whole microseconds once.
     const double tol = 0.01;
     EXPECT_NEAR(ph.scan_wall_ms, scan_spans, tol) << "threads=" << threads;
@@ -352,6 +353,31 @@ TEST(PipelineObsTest, RepairSpanDurationsSumToPhaseStats) {
     EXPECT_GE(span_ms["repair.analyze"] + tol, scan_spans +
                                                    span_ms["repair.correlate"]);
   }
+}
+
+// Recovery reads a log without appending to it: irdb_wal_appends_total
+// moves only by what the recovered instance's own fresh log receives (the
+// catalog DDL it replays), never by the replayed records.
+TEST(PipelineObsTest, RecoveryDoesNotCountReplayedRecordsAsAppends) {
+  const obs::Metrics& m = obs::Metrics::Get();
+  Database db(FlavorTraits::Postgres());
+  DirectConnection conn(&db);
+  RunBankWorkload(&conn);
+  const std::string bytes = SerializeWal(db.wal());
+
+  const int64_t appends0 = obs::CounterValue(m.wal_appends);
+  WalRecoveryInfo info;
+  auto recovered = RecoverDatabaseFromBytes(bytes, db.traits(), &info);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(info.records_recovered, db.wal().size());
+  EXPECT_EQ(obs::CounterValue(m.wal_appends) - appends0,
+            (*recovered)->wal().size());
+
+  const int64_t appends1 = obs::CounterValue(m.wal_appends);
+  auto from_log = RecoverDatabase(db.wal(), db.traits());
+  ASSERT_TRUE(from_log.ok()) << from_log.status().ToString();
+  EXPECT_EQ(obs::CounterValue(m.wal_appends) - appends1,
+            (*from_log)->wal().size());
 }
 
 // Degraded commits and tracking gaps: each counter always equals the exact

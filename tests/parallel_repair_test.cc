@@ -2,7 +2,7 @@
 // equivalence.
 //
 //   - ThreadPool: SplitRange properties, ParallelFor chunking, inline mode.
-//   - DecodeWalParallel == DecodeWal on clean, torn-tail and corrupted bytes.
+//   - WalLog snapshots stay fixed, LSN-indexed prefixes under live appends.
 //   - DependencyGraph::ToDot is insertion-order independent.
 //   - Parallel closure == serial BFS on seeded random graphs under filters.
 //   - End-to-end property: across flavors x seeds, repairing the same seeded
@@ -17,6 +17,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,7 +27,7 @@
 #include "repair/dba_policy.h"
 #include "repair/dependency_graph.h"
 #include "repair/repair_engine.h"
-#include "txn/wal_codec.h"
+#include "txn/wal_log.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "wire/connection.h"
@@ -121,88 +122,75 @@ TEST(ThreadPoolTest, SingleThreadedPoolRunsInline) {
 }
 
 // ---------------------------------------------------------------------------
-// DecodeWalParallel == DecodeWal.
+// WalLog snapshots under concurrent appends.
 
-// A WAL with a few dozen records of mixed shapes, via real statements.
-std::string MakeWalBytes(Database* db) {
-  DirectConnection conn(db);
-  EXPECT_TRUE(
-      conn.Execute("CREATE TABLE t (id INTEGER NOT NULL, v DOUBLE, s VARCHAR)")
-          .ok());
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(conn.Execute("BEGIN").ok());
-    EXPECT_TRUE(conn.Execute("INSERT INTO t(id, v, s) VALUES (" +
-                             std::to_string(i) + ", " + std::to_string(i) +
-                             ".5, 'row" + std::to_string(i) + "')")
-                    .ok());
-    if (i % 2 == 0) {
-      EXPECT_TRUE(conn.Execute("UPDATE t SET v = v + 1 WHERE id = " +
-                               std::to_string(i))
-                      .ok());
-    }
-    if (i % 3 == 0) {
-      EXPECT_TRUE(
-          conn.Execute("DELETE FROM t WHERE id = " + std::to_string(i)).ok());
-    }
-    EXPECT_TRUE(conn.Execute("COMMIT").ok());
+// Appender threads grow the log across several segment boundaries while a
+// reader snapshots it in a loop and scans each snapshot with no lock held.
+// Every snapshot is a fixed prefix: its size never changes as the log
+// grows, record i carries LSN i, and a record keeps its address in every
+// later snapshot (and through at()). The final snapshot holds every append,
+// each appender's records in its own append order.
+TEST(WalLogTest, SnapshotsStayFixedWhileAppendersRun) {
+  constexpr int kAppenders = 3;
+  constexpr size_t kPerAppender = 3 * kWalSegmentRecords + 17;
+  constexpr size_t kTotal = kAppenders * kPerAppender;
+  WalLog wal;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> appenders;
+  for (int t = 0; t < kAppenders; ++t) {
+    appenders.emplace_back([&wal, &go, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (size_t i = 0; i < kPerAppender; ++i) {
+        LogRecord rec;
+        rec.txn_id = t + 1;
+        rec.op = LogOp::kInsert;
+        rec.after_image = std::to_string(i);
+        wal.Append(std::move(rec));
+      }
+    });
   }
-  return SerializeWal(db->wal());
-}
 
-std::string ReFrame(const std::vector<LogRecord>& records) {
-  std::string out;
-  for (const LogRecord& rec : records) AppendWalFrame(rec, &out);
-  return out;
-}
-
-void ExpectSameDecode(std::string_view bytes, ThreadPool* pool) {
-  auto serial = DecodeWal(bytes);
-  auto parallel = DecodeWalParallel(bytes, pool);
-  ASSERT_EQ(serial.ok(), parallel.ok());
-  if (!serial.ok()) return;
-  EXPECT_EQ(serial->truncated_tail, parallel->truncated_tail);
-  EXPECT_EQ(serial->dropped_bytes, parallel->dropped_bytes);
-  ASSERT_EQ(serial->records.size(), parallel->records.size());
-  EXPECT_EQ(ReFrame(serial->records), ReFrame(parallel->records));
-}
-
-TEST(DecodeWalParallelTest, MatchesSerialOnCleanTornAndCorruptBytes) {
-  Database db(FlavorTraits::Postgres());
-  const std::string bytes = MakeWalBytes(&db);
-  ASSERT_GT(db.wal().records().size(), 20u);
-
-  // Last frame's size, to carve torn tails at sub-frame granularity.
-  std::string last_frame;
-  AppendWalFrame(db.wal().records().back(), &last_frame);
-  ASSERT_GT(last_frame.size(), 9u);
-
-  for (int lanes : {2, 4}) {
-    ThreadPool pool(lanes);
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-
-    // Clean bytes round-trip.
-    ExpectSameDecode(bytes, &pool);
-
-    // Torn tails: drop 1 byte, half the final frame, all but 1 byte of it.
-    for (size_t drop : {size_t{1}, last_frame.size() / 2,
-                        last_frame.size() - 1}) {
-      ExpectSameDecode(bytes.substr(0, bytes.size() - drop), &pool);
-      auto torn = DecodeWalParallel(bytes.substr(0, bytes.size() - drop), &pool);
-      ASSERT_TRUE(torn.ok());
-      EXPECT_TRUE(torn->truncated_tail);
+  // A failed ASSERT returns from this lambda only, so the appenders are
+  // always joined below.
+  std::vector<std::pair<WalView, size_t>> snapshots;
+  auto snapshot_until_complete = [&] {
+    for (size_t seen = 0; seen < kTotal;) {
+      WalView view = wal.records();
+      ASSERT_GE(view.size(), seen);
+      for (size_t i = 0; i < view.size(); ++i) {
+        ASSERT_EQ(view[i].lsn, static_cast<int64_t>(i));
+      }
+      if (!view.empty()) {
+        ASSERT_EQ(&wal.at(view.size() - 1), &view.back());
+      }
+      if (!snapshots.empty()) {
+        const WalView& prev = snapshots.back().first;
+        for (size_t i = 0; i < prev.size(); ++i) ASSERT_EQ(&prev[i], &view[i]);
+      }
+      seen = view.size();
+      snapshots.emplace_back(std::move(view), seen);
     }
+  };
+  go.store(true);
+  snapshot_until_complete();
+  for (std::thread& t : appenders) t.join();
+  if (HasFatalFailure()) return;
 
-    // CRC-failing FINAL frame: also a torn tail (both paths truncate it).
-    std::string bad_tail = bytes;
-    bad_tail[bad_tail.size() - 1] ^= 0x5a;
-    ExpectSameDecode(bad_tail, &pool);
-
-    // CRC-failing INTERIOR frame: hard error on both paths.
-    std::string bad_mid = bytes;
-    bad_mid[8] ^= 0x5a;  // first byte of the first frame's payload
-    EXPECT_FALSE(DecodeWal(bad_mid).ok());
-    EXPECT_FALSE(DecodeWalParallel(bad_mid, &pool).ok());
+  const WalView final_view = wal.records();
+  ASSERT_EQ(final_view.size(), kTotal);
+  EXPECT_EQ(wal.size(), static_cast<int64_t>(kTotal));
+  for (const auto& [view, size] : snapshots) {
+    ASSERT_EQ(view.size(), size);
+    for (size_t i = 0; i < size; ++i) ASSERT_EQ(&view[i], &final_view[i]);
   }
+  std::vector<size_t> next(kAppenders, 0);
+  size_t lsn = 0;
+  for (const LogRecord& rec : final_view) {
+    EXPECT_EQ(rec.lsn, static_cast<int64_t>(lsn++));
+    size_t& expect = next[static_cast<size_t>(rec.txn_id - 1)];
+    EXPECT_EQ(rec.after_image, std::to_string(expect++));
+  }
+  EXPECT_EQ(next, std::vector<size_t>(kAppenders, kPerAppender));
 }
 
 // ---------------------------------------------------------------------------

@@ -177,8 +177,7 @@ int Main(int argc, char** argv) {
     double phase_ms;
     double spans_ms;
   } checks[] = {
-      {"scan", ph.scan_wall_ms,
-       span_ms["repair.scan.wal_decode"] + span_ms["repair.scan.flavor_read"]},
+      {"scan", ph.scan_wall_ms, span_ms["repair.scan.flavor_read"]},
       {"correlate", ph.correlate_wall_ms, span_ms["repair.correlate"]},
       {"closure", ph.closure_wall_ms, span_ms["repair.closure"]},
       {"compensate", ph.compensate_wall_ms, span_ms["repair.compensate"]},

@@ -6,14 +6,18 @@
 # harness prints the seed so any failure replays exactly). A third,
 # ThreadSanitizer build (-DIRDB_SANITIZE=thread) then runs the `parallel`,
 # `net`, `concurrency`, `storage`, `reenact`, and `shard` ctest labels — the
-# parallel repair pipeline's determinism and equivalence tests, the sharded
+# parallel repair pipeline's determinism and equivalence tests and the WAL
+# snapshot-under-appends test (parallel_repair_test), the sharded
 # metrics-registry hammer (obs_test), the networked front-end's
 # concurrent-session suite (net_test), the lock-manager/concurrent-execution
 # suite (concurrency_test), the serve-through quarantine suite
 # (quarantine_test), the B+ tree / buffer-pool / tombstone-heap suite
 # (storage_test), and the multi-shard router/2PC/coordinated-repair suite
-# (shard_test) — so data races in the worker pool, segmented scan, sharded
-# closure, batched compensation, the shard-per-thread registry, the
+# (shard_test) — and finally every chaos profile for the first seed, where
+# repair races live traffic (serve-through's RepairOnline scans the WAL
+# while commits append to it). ThreadSanitizer exits non-zero on any
+# warning, so data races in the worker pool, the WAL's segmented snapshots,
+# sharded closure, batched compensation, the shard-per-thread registry, the
 # event-loop/executor handoff, the lock manager and latch layering, the
 # online-repair quarantine gate, the storage layer's pin/evict accounting,
 # or the router tier's session/stat folding surface here rather than in
@@ -64,7 +68,12 @@ run_config "$repo/build-asan" "asan" -DIRDB_SANITIZE=address
 
 echo "[tsan] parallel repair + net front-end + lock manager + quarantine + storage + reenact + shard under ThreadSanitizer"
 cmake -B "$repo/build-tsan" -S "$repo" -DIRDB_SANITIZE=thread >/dev/null
-cmake --build "$repo/build-tsan" --target parallel_repair_test obs_test net_test concurrency_test quarantine_test storage_test reenact_test shard_test -j >/dev/null
+cmake --build "$repo/build-tsan" --target parallel_repair_test obs_test net_test concurrency_test quarantine_test storage_test reenact_test shard_test chaos_test -j >/dev/null
 (cd "$repo/build-tsan" && ctest -L 'parallel|net|concurrency|storage|reenact|shard' --output-on-failure)
+for profile in "${profiles[@]}"; do
+  echo "[tsan] profile=$profile seed=$base_seed"
+  "$repo/build-tsan/tests/chaos_test" --seed="$base_seed" --profile="$profile" \
+    | tail -1
+done
 
-echo "chaos soak passed: ${#profiles[@]} profiles x $num_seeds seeds x 2 configs + tsan parallel/net/concurrency/storage/reenact/shard suites"
+echo "chaos soak passed: ${#profiles[@]} profiles x $num_seeds seeds x 2 configs + tsan parallel/net/concurrency/storage/reenact/shard suites + tsan ${#profiles[@]} profiles x 1 seed"
