@@ -28,7 +28,17 @@ const char* LockModeName(LockMode m) {
     case LockMode::kIntentionShared: return "IS";
     case LockMode::kIntentionExclusive: return "IX";
     case LockMode::kShared: return "S";
+    case LockMode::kSharedIntentionExclusive: return "SIX";
     case LockMode::kExclusive: return "X";
+  }
+  return "?";
+}
+
+const char* LockLevelName(LockLevel l) {
+  switch (l) {
+    case LockLevel::kTable: return "table";
+    case LockLevel::kPrefix: return "prefix";
+    case LockLevel::kKey: return "key";
   }
   return "?";
 }
@@ -42,6 +52,8 @@ bool LockCompatible(LockMode a, LockMode b) {
              b == LockMode::kIntentionExclusive;
     case LockMode::kShared:
       return b == LockMode::kIntentionShared || b == LockMode::kShared;
+    case LockMode::kSharedIntentionExclusive:
+      return b == LockMode::kIntentionShared;
     case LockMode::kExclusive:
       return false;
   }
@@ -50,12 +62,15 @@ bool LockCompatible(LockMode a, LockMode b) {
 
 LockMode LockSupremum(LockMode a, LockMode b) {
   if (a == b) return a;
+  if (a == LockMode::kExclusive || b == LockMode::kExclusive) {
+    return LockMode::kExclusive;
+  }
   const bool shared_side = a == LockMode::kShared || b == LockMode::kShared;
   const bool ix_side = a == LockMode::kIntentionExclusive ||
                        b == LockMode::kIntentionExclusive;
-  if (a == LockMode::kExclusive || b == LockMode::kExclusive ||
-      (shared_side && ix_side)) {
-    return LockMode::kExclusive;
+  if (a == LockMode::kSharedIntentionExclusive ||
+      b == LockMode::kSharedIntentionExclusive || (shared_side && ix_side)) {
+    return LockMode::kSharedIntentionExclusive;
   }
   if (shared_side) return LockMode::kShared;
   if (ix_side) return LockMode::kIntentionExclusive;
@@ -160,8 +175,8 @@ bool LockManager::OnCycle(int64_t start) const {
 }
 
 Status LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
-                                 ResourceId res, int64_t txn_id,
-                                 bool upgrade) {
+                                 ResourceId res, int64_t txn_id, bool upgrade,
+                                 LockAbortCause* cause) {
   ++stats_.waits;
   obs::Count(obs::Metrics::Get().engine_lock_waits);
   const auto deadline = std::chrono::steady_clock::now() +
@@ -188,6 +203,12 @@ Status LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
         obs::Count(obs::Metrics::Get().engine_deadlock_aborts);
       } else {
         ++stats_.timeouts;
+        obs::Count(obs::Metrics::Get().engine_lock_timeouts);
+      }
+      if (cause != nullptr) {
+        cause->timeout = timed_out;
+        cause->held = upgrade ? std::optional<LockMode>(mine->mode)
+                              : std::nullopt;
       }
       waits_for_.erase(txn_id);
       if (upgrade) {
@@ -215,7 +236,8 @@ Status LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
   }
 }
 
-Status LockManager::Acquire(int64_t txn_id, ResourceId res, LockMode mode) {
+Status LockManager::Acquire(int64_t txn_id, ResourceId res, LockMode mode,
+                            LockAbortCause* cause) {
   // Chaos hook: widen lock-hold windows to force contention interleavings.
   if (fail::Triggered("lock.acquire.delay")) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -238,7 +260,7 @@ Status LockManager::Acquire(int64_t txn_id, ResourceId res, LockMode mode) {
     // deadlock edges, record the target, and wait for Promote.
     mine->pending_mode = sup;
     mine->upgrade = true;
-    return WaitForGrant(lk, res, txn_id, /*upgrade=*/true);
+    return WaitForGrant(lk, res, txn_id, /*upgrade=*/true, cause);
   }
 
   q.reqs.push_back(Request{txn_id, mode, mode, false, false});
@@ -246,7 +268,7 @@ Status LockManager::Acquire(int64_t txn_id, ResourceId res, LockMode mode) {
   mine = FindRequest(q, txn_id);
   Status granted = Status::Ok();
   if (!mine->granted) {
-    granted = WaitForGrant(lk, res, txn_id, /*upgrade=*/false);
+    granted = WaitForGrant(lk, res, txn_id, /*upgrade=*/false, cause);
   }
   if (granted.ok()) {
     held_[txn_id].push_back(res);

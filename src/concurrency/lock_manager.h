@@ -1,12 +1,19 @@
 // Hierarchical two-phase lock manager (DESIGN.md §5f).
 //
-// Resources form a two-level hierarchy: a table, and keys within a table
-// (a key is the FNV hash of a row's primary-key values — stable across the
-// page compactions that make RowLoc unusable as a lock name). Statements
-// lock top-down: an intention mode on the table, then S/X on the keys they
-// touch; coarse statements (scans, non-key-predicate writes) take S/X on
-// the table itself. Locks are strict two-phase: acquired before a statement
-// executes, held until the owning transaction commits or aborts.
+// Resources form a three-level hierarchy per table: the table, one granule
+// per proper equality prefix of its primary key (customer(w,d),
+// order_line(w,d,o)), and keys. Prefix and key names are FNV hashes of the
+// coerced key values they pin — stable across the page compactions that
+// make RowLoc unusable as a lock name. Statements lock root to leaf: an
+// intention mode on the table and on every enclosing prefix, then S/X on
+// the deepest granule their literals pin (a key, a prefix, or the table
+// itself for statements with no literal key prefix). Locks are strict
+// two-phase: acquired before a statement executes, held until the owning
+// transaction commits or aborts.
+//
+// Modes are IS, IX, S, SIX and X. SIX (shared + intention-exclusive) is
+// what a transaction holds after reading a whole granule and then writing
+// keys below it: it admits other readers' IS but no one else's writes.
 //
 // Grants are FIFO per resource: a waiter blocks every later non-upgrade
 // request even if that request is compatible with the granted group, so
@@ -28,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -38,10 +46,11 @@
 namespace irdb::concurrency {
 
 enum class LockMode : uint8_t {
-  kIntentionShared = 0,   // IS: will take S on some keys below
-  kIntentionExclusive,    // IX: will take X on some keys below
-  kShared,                // S: read the whole resource
-  kExclusive,             // X: write the whole resource
+  kIntentionShared = 0,       // IS: will take S on some keys below
+  kIntentionExclusive,        // IX: will take X on some keys below
+  kShared,                    // S: read the whole resource
+  kSharedIntentionExclusive,  // SIX: S, plus X on some keys below
+  kExclusive,                 // X: write the whole resource
 };
 
 const char* LockModeName(LockMode m);
@@ -49,34 +58,62 @@ const char* LockModeName(LockMode m);
 // Compatibility of a requested mode against a held mode (symmetric).
 bool LockCompatible(LockMode a, LockMode b);
 
-// Least mode at least as strong as both (the S+IX combination collapses to
-// X — we do not model SIX).
+// Least mode at least as strong as both (S + IX is SIX).
 LockMode LockSupremum(LockMode a, LockMode b);
 
-// Name of a lockable resource. key_hash == 0 names the table itself; key
-// hashes are constructed with the low bit forced on, so 0 is never a key.
+// Level of a lockable resource in the hierarchy, root to leaf.
+enum class LockLevel : uint8_t { kTable = 0, kPrefix, kKey };
+
+const char* LockLevelName(LockLevel l);
+
+// Name of a lockable resource. Prefix granules also carry their depth (how
+// many leading key columns they pin), so customer(w) and customer(w,d)
+// stay distinct and sort shallow before deep.
 struct ResourceId {
   int32_t table_id = 0;
-  uint64_t key_hash = 0;
+  LockLevel level = LockLevel::kTable;
+  uint8_t depth = 0;  // prefix granules only
+  uint64_t hash = 0;  // FNV of the pinned coerced key values; 0 for a table
 
-  static ResourceId Table(int32_t table_id) { return {table_id, 0}; }
+  static ResourceId Table(int32_t table_id) { return {table_id}; }
+  static ResourceId Prefix(int32_t table_id, size_t depth, uint64_t hash) {
+    return {table_id, LockLevel::kPrefix, static_cast<uint8_t>(depth), hash};
+  }
   static ResourceId Key(int32_t table_id, uint64_t hash) {
-    return {table_id, hash | 1};
+    return {table_id, LockLevel::kKey, 0, hash};
   }
 
-  bool is_table() const { return key_hash == 0; }
+  bool is_table() const { return level == LockLevel::kTable; }
+  bool is_key() const { return level == LockLevel::kKey; }
   bool operator==(const ResourceId& o) const {
-    return table_id == o.table_id && key_hash == o.key_hash;
+    return table_id == o.table_id && level == o.level && depth == o.depth &&
+           hash == o.hash;
+  }
+  // Root-to-leaf acquisition order: (table, level, depth, hash). Every
+  // granule sorts after the granules that enclose it.
+  bool operator<(const ResourceId& o) const {
+    if (table_id != o.table_id) return table_id < o.table_id;
+    if (level != o.level) return level < o.level;
+    if (depth != o.depth) return depth < o.depth;
+    return hash < o.hash;
   }
 };
 
 struct ResourceIdHash {
   size_t operator()(const ResourceId& r) const {
     uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(r.table_id));
-    h = h * 0x9e3779b97f4a7c15ULL ^ r.key_hash;
+    h = (h << 16) | (static_cast<uint64_t>(r.level) << 8) | r.depth;
+    h = h * 0x9e3779b97f4a7c15ULL ^ r.hash;
     h ^= h >> 32;
     return static_cast<size_t>(h);
   }
+};
+
+// Why Acquire refused a lock, filled when it returns a deadlock abort.
+struct LockAbortCause {
+  bool timeout = false;  // the wait-timeout failsafe fired, not a cycle
+  // The grant being converted from, when the request was an upgrade.
+  std::optional<LockMode> held;
 };
 
 struct LockManagerStats {
@@ -116,9 +153,11 @@ class LockManager {
 
   // Blocks until `txn_id` holds `mode` (or a stronger mode) on `res`.
   // Returns a "[deadlock]"-tagged kAborted status if the wait would
-  // deadlock or times out; the request is withdrawn but locks already held
-  // by the transaction are kept (the caller decides how much to roll back).
-  Status Acquire(int64_t txn_id, ResourceId res, LockMode mode);
+  // deadlock or times out, and then fills `cause` when given; the request
+  // is withdrawn but locks already held by the transaction are kept (the
+  // caller decides how much to roll back).
+  Status Acquire(int64_t txn_id, ResourceId res, LockMode mode,
+                 LockAbortCause* cause = nullptr);
 
   // Releases every lock held by `txn_id` and wakes eligible waiters.
   void ReleaseAll(int64_t txn_id);
@@ -159,7 +198,7 @@ class LockManager {
   // upgrades, abandons the widening and keeps the previous grant) and
   // returns the tagged abort.
   Status WaitForGrant(std::unique_lock<std::mutex>& lk, ResourceId res,
-                      int64_t txn_id, bool upgrade);
+                      int64_t txn_id, bool upgrade, LockAbortCause* cause);
 
   Options options_;
   mutable std::mutex mu_;

@@ -1,9 +1,22 @@
 #include "concurrency/quarantine.h"
 
+#include <algorithm>
+
 #include "obs/catalog.h"
 #include "obs/metrics.h"
 
 namespace irdb::concurrency {
+
+namespace {
+
+// The modes that read or write every row of a granule, as opposed to the
+// intention modes that only announce finer locks.
+bool CoversGranule(LockMode m) {
+  return m == LockMode::kShared || m == LockMode::kSharedIntentionExclusive ||
+         m == LockMode::kExclusive;
+}
+
+}  // namespace
 
 Status QuarantineManager::Begin() {
   std::lock_guard<std::mutex> lk(mu_);
@@ -21,17 +34,24 @@ int QuarantineManager::Add(const std::vector<QuarantineSlice>& slices) {
   std::lock_guard<std::mutex> lk(mu_);
   int added = 0;
   for (const QuarantineSlice& s : slices) {
-    TableSlices& t = tables_[s.table_id];
+    TableSlices& t = tables_[s.table_id()];
     if (s.is_table()) {
       if (!t.whole_table) {
-        // The whole table subsumes any bucket already registered for it.
+        // The whole table subsumes any key already registered for it.
         t.whole_table = true;
-        t.buckets.clear();
+        t.keys.clear();
+        t.ancestors.clear();
         ++added;
       }
-    } else if (!t.whole_table && t.buckets.insert(s.key_hash).second) {
-      ++added;
+      continue;
     }
+    if (t.whole_table) continue;
+    auto [it, fresh] = t.keys.emplace(
+        s.path.back(),
+        std::vector<ResourceId>(s.path.begin() + 1, s.path.end() - 1));
+    if (!fresh) continue;
+    for (const ResourceId& prefix : it->second) ++t.ancestors[prefix];
+    ++added;
   }
   installed_total_ += added;
   PublishGauge();
@@ -44,22 +64,29 @@ int QuarantineManager::ReleaseTable(int32_t table_id) {
   if (it == tables_.end()) return 0;
   const int released = it->second.whole_table
                            ? 1
-                           : static_cast<int>(it->second.buckets.size());
+                           : static_cast<int>(it->second.keys.size());
   tables_.erase(it);
   released_total_ += released;
   PublishGauge();
   return released;
 }
 
-int QuarantineManager::ReleaseKey(int32_t table_id, uint64_t key_hash) {
+int QuarantineManager::ReleaseKey(const ResourceId& key) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = tables_.find(table_id);
+  auto it = tables_.find(key.table_id);
   if (it == tables_.end() || it->second.whole_table) return 0;
-  const int released = static_cast<int>(it->second.buckets.erase(key_hash));
-  if (it->second.buckets.empty()) tables_.erase(it);
-  released_total_ += released;
+  TableSlices& t = it->second;
+  auto k = t.keys.find(key);
+  if (k == t.keys.end()) return 0;
+  for (const ResourceId& prefix : k->second) {
+    auto a = t.ancestors.find(prefix);
+    if (--a->second == 0) t.ancestors.erase(a);
+  }
+  t.keys.erase(k);
+  if (t.keys.empty()) tables_.erase(it);
+  released_total_ += 1;
   PublishGauge();
-  return released;
+  return 1;
 }
 
 void QuarantineManager::End() {
@@ -75,60 +102,73 @@ bool QuarantineManager::Blocks(const ResourceId& res, LockMode mode) const {
   auto it = tables_.find(res.table_id);
   if (it == tables_.end()) return false;
   const TableSlices& t = it->second;
-  if (res.is_table()) {
-    if (t.whole_table) return true;
-    // A coarse S/X on the table reads or writes every row, quarantined
-    // buckets included; intention modes name their keys separately and are
-    // judged per key.
-    return mode == LockMode::kShared || mode == LockMode::kExclusive;
+  if (t.whole_table) return true;
+  switch (res.level) {
+    case LockLevel::kTable:
+      // S/SIX/X on the table read or write every row, fenced keys
+      // included; intention modes name their finer granules separately
+      // and are judged there.
+      return CoversGranule(mode);
+    case LockLevel::kPrefix:
+      // Same rule one level down: only a granule enclosing a fenced key
+      // conflicts, so sibling prefixes stay available.
+      return CoversGranule(mode) && t.ancestors.count(res) > 0;
+    case LockLevel::kKey:
+      return t.keys.count(res) > 0;
   }
-  return t.whole_table || t.buckets.count(res.key_hash) > 0;
+  return false;
 }
 
 bool QuarantineManager::HoldsOverlapping(const LockManager& lm,
                                          int64_t txn_id) const {
-  // Snapshot the slices, then query the lock manager without holding mu_
+  // Snapshot the probes, then query the lock manager without holding mu_
   // (the lock manager has its own mutex; never nest the two).
-  std::vector<std::pair<ResourceId, bool>> probes;  // (resource, whole_table)
+  std::vector<std::pair<ResourceId, LockMode>> probes;  // (resource, floor)
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto& [table_id, t] : tables_) {
-      probes.emplace_back(ResourceId::Table(table_id), t.whole_table);
-      for (uint64_t h : t.buckets) {
-        probes.emplace_back(ResourceId{table_id, h}, false);
+      // Any held mode overlaps a whole-table slice; for a key-sliced table
+      // only a granule-covering mode on the table or on an enclosing prefix
+      // does — intention holders are checked via their finer locks.
+      probes.emplace_back(ResourceId::Table(table_id),
+                          t.whole_table ? LockMode::kIntentionShared
+                                        : LockMode::kShared);
+      for (const auto& a : t.ancestors) {
+        probes.emplace_back(a.first, LockMode::kShared);
+      }
+      for (const auto& k : t.keys) {
+        probes.emplace_back(k.first, LockMode::kShared);
       }
     }
   }
-  for (const auto& [res, whole] : probes) {
-    if (res.is_table()) {
-      // Any held mode overlaps a whole-table slice; for a bucket-sliced
-      // table only a coarse S/X (a scan covering the buckets) does —
-      // intention holders are checked via their key locks below.
-      const LockMode floor =
-          whole ? LockMode::kIntentionShared : LockMode::kShared;
-      if (lm.holds(txn_id, res, floor)) return true;
-    } else if (lm.holds(txn_id, res, LockMode::kShared)) {
-      return true;
-    }
+  for (const auto& [res, floor] : probes) {
+    if (lm.holds(txn_id, res, floor)) return true;
   }
   return false;
 }
 
 std::vector<std::pair<ResourceId, LockMode>> QuarantineManager::DrainPlan()
     const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::pair<ResourceId, LockMode>> plan;
-  for (const auto& [table_id, t] : tables_) {
-    if (t.whole_table) {
-      plan.emplace_back(ResourceId::Table(table_id), LockMode::kExclusive);
-      continue;
-    }
-    plan.emplace_back(ResourceId::Table(table_id),
-                      LockMode::kIntentionExclusive);
-    for (uint64_t h : t.buckets) {
-      plan.emplace_back(ResourceId{table_id, h}, LockMode::kExclusive);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& [table_id, t] : tables_) {
+      if (t.whole_table) {
+        plan.emplace_back(ResourceId::Table(table_id), LockMode::kExclusive);
+        continue;
+      }
+      plan.emplace_back(ResourceId::Table(table_id),
+                        LockMode::kIntentionExclusive);
+      for (const auto& a : t.ancestors) {
+        plan.emplace_back(a.first, LockMode::kIntentionExclusive);
+      }
+      for (const auto& k : t.keys) {
+        plan.emplace_back(k.first, LockMode::kExclusive);
+      }
     }
   }
+  std::sort(plan.begin(), plan.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return plan;
 }
 
@@ -152,7 +192,7 @@ QuarantineStats QuarantineManager::stats() const {
 int QuarantineManager::CountLocked() const {
   int n = 0;
   for (const auto& [id, t] : tables_) {
-    n += t.whole_table ? 1 : static_cast<int>(t.buckets.size());
+    n += t.whole_table ? 1 : static_cast<int>(t.keys.size());
   }
   return n;
 }

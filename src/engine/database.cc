@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "obs/catalog.h"
+#include "obs/journal.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "util/failpoint.h"
@@ -325,7 +326,9 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
     BeginTxn(s);
     txn_mgr_.Begin(s.txn_id);
   }
-  if (Status locked = AcquirePlanLocks(s.txn_id, plan); !locked.ok()) {
+  LockRefusal refused;
+  if (Status locked = AcquirePlanLocks(s, &plan, &refused);
+      !locked.ok()) {
     // This transaction is the deadlock victim: undo everything it has done
     // (no effects from *this* statement exist yet — locks come first),
     // release its locks, and surface the tagged abort. For autocommit the
@@ -333,6 +336,7 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
     // tag is widened to the retryable form; an explicit transaction's
     // client must acknowledge the abort with ROLLBACK before continuing.
     stats_.deadlock_aborts.fetch_add(1, std::memory_order_relaxed);
+    JournalLockRefusal(stmt, refused);
     Status rb = RollbackTxnConcurrent(s);
     txn_mgr_.Abort(s.txn_id);
     IRDB_RETURN_IF_ERROR(rb);
@@ -423,15 +427,79 @@ DbStats Database::stats() const {
 
 // ------------------------------------------------------------ lock planning
 
+namespace {
+
+// One FNV pass over a primary key's coerced values, root to leaf: `visit`
+// sees the running hash after each pinned column — the name of the prefix
+// granule of that depth, or of the key once every column is pinned (the
+// full key's hash, as the storage layer would compute it). `value_at(i)`
+// yields key column i's value, or nullopt where the pinned run ends; a
+// value that does not coerce to the column's type ends it too.
+template <typename ValueAt, typename Visit>
+void StreamKeyHashes(const Schema& schema, const std::vector<int>& key_columns,
+                     ValueAt value_at, Visit visit) {
+  std::string repr;
+  uint64_t h = Fnv1a({});  // offset basis
+  for (size_t depth = 0; depth < key_columns.size(); ++depth) {
+    std::optional<Value> v = value_at(depth);
+    if (!v.has_value()) return;
+    auto coerced =
+        schema.CoerceForColumn(static_cast<size_t>(key_columns[depth]), *v);
+    if (!coerced.ok()) return;
+    repr.clear();
+    coerced->AppendTo(&repr);
+    h = Fnv1a(repr, h);
+    visit(depth + 1, h);
+  }
+}
+
+concurrency::ResourceId GranuleAt(int32_t table_id, size_t depth, size_t n,
+                                  uint64_t hash) {
+  return depth < n ? concurrency::ResourceId::Prefix(table_id, depth, hash)
+                   : concurrency::ResourceId::Key(table_id, hash);
+}
+
+const char* StatementKindName(sql::StatementKind k) {
+  switch (k) {
+    case sql::StatementKind::kSelect: return "SELECT";
+    case sql::StatementKind::kInsert: return "INSERT";
+    case sql::StatementKind::kUpdate: return "UPDATE";
+    case sql::StatementKind::kDelete: return "DELETE";
+    default: return "OTHER";
+  }
+}
+
+}  // namespace
+
+void Database::PlanKeyPath(int32_t table_id, const Schema& schema,
+                           const std::vector<int>& key_columns,
+                           const std::vector<const sql::Expr*>& key_exprs,
+                           concurrency::LockMode intent,
+                           concurrency::LockMode leaf,
+                           std::vector<LockPlanEntry>* plan) {
+  plan->push_back({concurrency::ResourceId::Table(table_id), intent});
+  RowBinding empty_binding;
+  empty_binding.traits = &traits_;
+  const size_t n = key_columns.size();
+  StreamKeyHashes(
+      schema, key_columns,
+      [&](size_t i) -> std::optional<Value> {
+        const sql::Expr* e = i < key_exprs.size() ? key_exprs[i] : nullptr;
+        if (e == nullptr || ExprHasColumnRef(*e)) return std::nullopt;
+        auto v = Eval(*e, empty_binding);
+        if (!v.ok()) return std::nullopt;
+        return std::move(*v);
+      },
+      [&](size_t depth, uint64_t hash) {
+        plan->push_back({GranuleAt(table_id, depth, n, hash), intent});
+      });
+  plan->back().mode = leaf;  // the deepest pinned granule
+}
+
 void Database::PlanStatementLocks(const sql::Statement& stmt,
                                   std::vector<LockPlanEntry>* plan) {
   using concurrency::LockMode;
   using concurrency::ResourceId;
-
-  const auto coarse = [&](int32_t table_id, LockMode mode) {
-    plan->clear();
-    plan->push_back({ResourceId::Table(table_id), mode});
-  };
 
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
@@ -444,8 +512,12 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
       if (!id.ok() || table == nullptr) return;  // executor reports
       const Schema& schema = table->schema();
       const TableIndex* index = table->index();
-      plan->push_back({ResourceId::Table(*id), LockMode::kIntentionExclusive});
-      if (index == nullptr) return;  // appends under IX; no keys to name
+      if (index == nullptr) {
+        // Appends under IX; no keys to name.
+        plan->push_back(
+            {ResourceId::Table(*id), LockMode::kIntentionExclusive});
+        return;
+      }
 
       // Map provided values to column indices (mirrors ExecInsert).
       std::vector<int> target_cols;
@@ -460,8 +532,13 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
           target_cols.push_back(idx);
         }
       }
+      // Each row X-locks its key. A key not known before execution
+      // (identity column, expression) X-locks the granule its literal
+      // prefix does pin — the table when none — so no reader of that
+      // granule can miss the new row.
+      std::vector<const sql::Expr*> key_exprs;
       for (const auto& value_exprs : stmt.insert_rows) {
-        std::vector<const sql::Expr*> key_exprs;
+        key_exprs.clear();
         for (int kc : index->key_columns()) {
           const sql::Expr* e = nullptr;
           for (size_t j = 0; j < target_cols.size(); ++j) {
@@ -472,14 +549,8 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
           }
           key_exprs.push_back(e);  // nullptr → identity/default-assigned
         }
-        auto h = HashKeyLiterals(schema, index->key_columns(), key_exprs);
-        if (!h.has_value()) {
-          // Key not known before execution (identity column, expression):
-          // coarsen to table X so no reader can miss the new row.
-          coarse(*id, LockMode::kExclusive);
-          return;
-        }
-        plan->push_back({ResourceId::Key(*id, *h), LockMode::kExclusive});
+        PlanKeyPath(*id, schema, index->key_columns(), key_exprs,
+                    LockMode::kIntentionExclusive, LockMode::kExclusive, plan);
       }
       return;
     }
@@ -492,7 +563,7 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
       const Schema& schema = table->schema();
       const TableIndex* index = table->index();
       if (index == nullptr) {
-        coarse(*id, concurrency::LockMode::kExclusive);
+        plan->push_back({ResourceId::Table(*id), LockMode::kExclusive});
         return;
       }
       // An UPDATE that assigns a key column would change the row's lock
@@ -502,26 +573,24 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
         for (int kc : index->key_columns()) {
           if (EqualsIgnoreCase(schema.column(static_cast<size_t>(kc)).name,
                                name)) {
-            coarse(*id, LockMode::kExclusive);
+            plan->push_back({ResourceId::Table(*id), LockMode::kExclusive});
             return;
           }
         }
       }
+      // Every row the WHERE can match lies inside the granule its literal
+      // key-column equalities pin.
       std::unordered_map<std::string, const sql::Expr*> eq;
       CollectKeyEqExprs(stmt.where.get(), stmt.table, &eq);
       std::vector<const sql::Expr*> key_exprs;
       for (int kc : index->key_columns()) {
         auto it = eq.find(
             ToLowerAscii(schema.column(static_cast<size_t>(kc)).name));
-        key_exprs.push_back(it == eq.end() ? nullptr : it->second);
+        if (it == eq.end()) break;
+        key_exprs.push_back(it->second);
       }
-      auto h = HashKeyLiterals(schema, index->key_columns(), key_exprs);
-      if (!h.has_value()) {
-        coarse(*id, LockMode::kExclusive);  // predicate not key-local
-        return;
-      }
-      plan->push_back({ResourceId::Table(*id), LockMode::kIntentionExclusive});
-      plan->push_back({ResourceId::Key(*id, *h), LockMode::kExclusive});
+      PlanKeyPath(*id, schema, index->key_columns(), key_exprs,
+                  LockMode::kIntentionExclusive, LockMode::kExclusive, plan);
       return;
     }
 
@@ -530,54 +599,78 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
   }
 }
 
-std::optional<uint64_t> Database::HashKeyLiterals(
-    const Schema& schema, const std::vector<int>& key_columns,
-    const std::vector<const sql::Expr*>& exprs) {
-  if (exprs.size() != key_columns.size()) return std::nullopt;
-  RowBinding empty_binding;
-  empty_binding.traits = &traits_;
-  std::string repr;
-  for (size_t i = 0; i < exprs.size(); ++i) {
-    const sql::Expr* e = exprs[i];
-    if (e == nullptr || ExprHasColumnRef(*e)) return std::nullopt;
-    auto v = Eval(*e, empty_binding);
-    if (!v.ok()) return std::nullopt;
-    auto coerced =
-        schema.CoerceForColumn(static_cast<size_t>(key_columns[i]), *v);
-    if (!coerced.ok()) return std::nullopt;
-    coerced->AppendTo(&repr);
-  }
-  return Fnv1a(repr);
-}
-
-Status Database::AcquirePlanLocks(int64_t txn_id,
-                                  const std::vector<LockPlanEntry>& plan) {
-  // Deterministic global order (tables before their keys, ids ascending)
-  // keeps single-statement plans deadlock-free against each other; cycles
-  // can only come from multi-statement transactions, which is what the
-  // waits-for detector is for. Duplicate resources merge to the supremum.
-  std::vector<LockPlanEntry> sorted = plan;
+Status Database::AcquirePlanLocks(Session& s, std::vector<LockPlanEntry>* plan,
+                                  LockRefusal* refused) {
+  using concurrency::LockSupremum;
+  // Deterministic root-to-leaf order (table, level, depth, hash) keeps
+  // single-statement plans deadlock-free against each other and never
+  // takes a granule before the granules enclosing it; cycles can only come
+  // from multi-statement transactions, which is what the waits-for
+  // detector is for. Duplicate resources merge to the supremum.
+  std::vector<LockPlanEntry>& sorted = *plan;
   std::sort(sorted.begin(), sorted.end(),
             [](const LockPlanEntry& a, const LockPlanEntry& b) {
-              if (a.res.table_id != b.res.table_id) {
-                return a.res.table_id < b.res.table_id;
-              }
-              return a.res.key_hash < b.res.key_hash;
+              return a.res < b.res;
             });
   size_t out = 0;
   for (size_t i = 0; i < sorted.size(); ++i) {
     if (out > 0 && sorted[out - 1].res == sorted[i].res) {
-      sorted[out - 1].mode =
-          concurrency::LockSupremum(sorted[out - 1].mode, sorted[i].mode);
+      sorted[out - 1].mode = LockSupremum(sorted[out - 1].mode, sorted[i].mode);
     } else {
       sorted[out++] = sorted[i];
     }
   }
   sorted.resize(out);
+  if (s.granted_txn != s.txn_id) {
+    s.granted_txn = s.txn_id;
+    s.granted_ancestors.clear();
+  }
   for (const LockPlanEntry& e : sorted) {
-    IRDB_RETURN_IF_ERROR(txn_mgr_.locks().Acquire(txn_id, e.res, e.mode));
+    // An ancestor this transaction already holds strongly enough is a
+    // no-op in the lock manager too; answer it here, without its mutex.
+    concurrency::LockMode* held = nullptr;
+    if (!e.res.is_key()) {
+      for (auto& [res, mode] : s.granted_ancestors) {
+        if (res == e.res) {
+          held = &mode;
+          break;
+        }
+      }
+      if (held != nullptr && LockSupremum(*held, e.mode) == *held) continue;
+    }
+    Status st =
+        txn_mgr_.locks().Acquire(s.txn_id, e.res, e.mode, &refused->cause);
+    if (!st.ok()) {
+      refused->entry = e;
+      return st;
+    }
+    if (held != nullptr) {
+      *held = LockSupremum(*held, e.mode);
+    } else if (!e.res.is_key()) {
+      s.granted_ancestors.emplace_back(e.res, e.mode);
+    }
   }
   return Status::Ok();
+}
+
+void Database::JournalLockRefusal(const sql::Statement& stmt,
+                                  const LockRefusal& refused) {
+  std::string table;
+  {
+    std::shared_lock<std::shared_mutex> cat(catalog_latch_);
+    const HeapTable* t = catalog_.FindById(refused.entry.res.table_id);
+    table = t != nullptr ? t->name()
+                         : std::to_string(refused.entry.res.table_id);
+  }
+  const concurrency::LockAbortCause& cause = refused.cause;
+  obs::EventJournal::Default().Append(
+      obs::event::kEngineDeadlockVictim,
+      {{"table", std::move(table)},
+       {"level", concurrency::LockLevelName(refused.entry.res.level)},
+       {"requested", concurrency::LockModeName(refused.entry.mode)},
+       {"held", cause.held ? concurrency::LockModeName(*cause.held) : "-"},
+       {"cause", cause.timeout ? "timeout" : "cycle"},
+       {"stmt", StatementKindName(stmt.kind)}});
 }
 
 // ------------------------------------------------------------------ txn ctl
@@ -1106,29 +1199,32 @@ int Database::EvictQuarantinePinnedTxns() {
   return evicted;
 }
 
-std::optional<uint64_t> Database::KeyHashForValues(
+std::optional<std::vector<concurrency::ResourceId>> Database::KeyLockPath(
     const std::string& table,
     const std::vector<std::pair<std::string, Value>>& row_values) const {
   std::shared_lock<std::shared_mutex> cat(catalog_latch_);
   const HeapTable* t = catalog_.Find(table);
-  if (t == nullptr || t->index() == nullptr) return std::nullopt;
+  auto id = catalog_.TableId(table);
+  if (t == nullptr || !id.ok() || t->index() == nullptr) return std::nullopt;
   const Schema& schema = t->schema();
-  std::string repr;
-  for (int kc : t->index()->key_columns()) {
-    const std::string& key_name = schema.column(static_cast<size_t>(kc)).name;
-    const Value* found = nullptr;
-    for (const auto& [name, v] : row_values) {
-      if (EqualsIgnoreCase(name, key_name)) {
-        found = &v;
-        break;
-      }
-    }
-    if (found == nullptr) return std::nullopt;
-    auto coerced = schema.CoerceForColumn(static_cast<size_t>(kc), *found);
-    if (!coerced.ok()) return std::nullopt;
-    coerced->AppendTo(&repr);
-  }
-  return Fnv1a(repr);
+  const std::vector<int>& key_columns = t->index()->key_columns();
+  std::vector<concurrency::ResourceId> path{
+      concurrency::ResourceId::Table(*id)};
+  StreamKeyHashes(
+      schema, key_columns,
+      [&](size_t i) -> std::optional<Value> {
+        const std::string& key_name =
+            schema.column(static_cast<size_t>(key_columns[i])).name;
+        for (const auto& [name, v] : row_values) {
+          if (EqualsIgnoreCase(name, key_name)) return v;
+        }
+        return std::nullopt;
+      },
+      [&](size_t depth, uint64_t hash) {
+        path.push_back(GranuleAt(*id, depth, key_columns.size(), hash));
+      });
+  if (path.size() != key_columns.size() + 1) return std::nullopt;
+  return path;
 }
 
 std::optional<std::pair<int32_t, std::vector<std::string>>>

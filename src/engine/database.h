@@ -4,9 +4,10 @@
 //
 // Concurrency model (DESIGN.md §5f): statements from different sessions
 // execute concurrently under strict two-phase locking. Before a statement
-// runs, the engine derives a lock plan from its AST — an intention mode on
-// each referenced table plus S/X key locks when the statement provably
-// touches single primary keys, coarsening to table S/X otherwise — and
+// runs, the engine derives a lock plan from its AST — per table, intention
+// modes down the primary-key hierarchy and S/X on the deepest granule its
+// literals pin: one key, one key-prefix granule (e.g. one district's
+// customers), or the whole table when no literal key prefix exists — and
 // acquires it through the transaction manager (src/concurrency). Locks are
 // held until COMMIT/ROLLBACK; waits-for-graph detection aborts deadlocked
 // requesters with a "[deadlock]"-tagged kAborted status (retryable for
@@ -127,11 +128,13 @@ class Database {
     return next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // --- key-hash bridge for the quarantine partition (src/repair) ---
-  // Hash of `table`'s primary key as assembled from (column, value) pairs,
-  // in the exact space PlanStatementLocks uses for key locks. nullopt when
-  // the table/index is missing or the pairs don't cover the whole key.
-  std::optional<uint64_t> KeyHashForValues(
+  // --- lock-space bridge for the quarantine partition (src/repair) ---
+  // Lock path of the row of `table` whose primary key is assembled from
+  // (column, value) pairs: the table, every proper-prefix granule, then the
+  // key — exactly the resources the planner names for a keyed write of that
+  // row. nullopt when the table/index is missing or the pairs don't cover
+  // the whole key.
+  std::optional<std::vector<concurrency::ResourceId>> KeyLockPath(
       const std::string& table,
       const std::vector<std::pair<std::string, Value>>& row_values) const;
   // Primary-key values of the live rows whose row address (hidden rowid,
@@ -186,6 +189,12 @@ class Database {
     // Repair-engine connections bypass the quarantine gate (they heal the
     // slices everyone else is fenced away from).
     bool quarantine_exempt = false;
+    // Table and prefix-granule modes transaction `granted_txn` holds, so
+    // the intention locks every statement re-requests on its ancestors
+    // skip the lock manager. Stale once the session moves to a new txn.
+    int64_t granted_txn = 0;
+    std::vector<std::pair<concurrency::ResourceId, concurrency::LockMode>>
+        granted_ancestors;
     // Serializes statements of one session (the wire layer already does;
     // this keeps direct multi-threaded use of a session id safe too).
     std::mutex mu;
@@ -195,6 +204,11 @@ class Database {
   struct LockPlanEntry {
     concurrency::ResourceId res;
     concurrency::LockMode mode;
+  };
+  // The plan entry a statement was refused, and why.
+  struct LockRefusal {
+    LockPlanEntry entry;
+    concurrency::LockAbortCause cause;
   };
 
   // Atomic mirrors of DbStats (sessions update them concurrently).
@@ -243,25 +257,36 @@ class Database {
 
   // --- lock planning (concurrent mode) ---
   // Derives the statement's lock plan from its AST. Called under the shared
-  // catalog latch; conservative — anything not provably key-local coarsens
-  // to a table lock. Never fails: unresolvable names produce an empty or
-  // partial plan and the executor reports the real error.
+  // catalog latch; conservative — rows not provably inside one key or
+  // key-prefix granule coarsen to a table lock. Never fails: unresolvable
+  // names produce an empty or partial plan and the executor reports the
+  // real error.
   void PlanStatementLocks(const sql::Statement& stmt,
                           std::vector<LockPlanEntry>* plan);
   // SELECT leg, defined in select_exec.cc next to the access-path planner
   // it mirrors.
   void PlanSelectLocks(const sql::Statement& stmt,
                        std::vector<LockPlanEntry>* plan);
-  // Acquires the plan in deterministic order (tables before keys, ids
-  // ascending). On deadlock the transaction keeps already-held locks; the
-  // caller rolls back.
-  Status AcquirePlanLocks(int64_t txn_id,
-                          const std::vector<LockPlanEntry>& plan);
-  // FNV hash of a full literal primary key; nullopt when `exprs` are not
-  // all literal-evaluable/coercible. `exprs` are in key-column order.
-  std::optional<uint64_t> HashKeyLiterals(
-      const Schema& schema, const std::vector<int>& key_columns,
-      const std::vector<const sql::Expr*>& exprs);
+  // Appends one primary-key access's lock path to `plan`: `intent` on the
+  // table and on every proper-prefix granule above the deepest granule the
+  // leading literal `key_exprs` pin, then `leaf` on that granule — the key
+  // when every key column is pinned, a prefix granule when a leading run
+  // is, the table itself when none is. `key_exprs` are in key-column order;
+  // a missing, column-reading or uncoercible expression ends the run.
+  void PlanKeyPath(int32_t table_id, const Schema& schema,
+                   const std::vector<int>& key_columns,
+                   const std::vector<const sql::Expr*>& key_exprs,
+                   concurrency::LockMode intent, concurrency::LockMode leaf,
+                   std::vector<LockPlanEntry>* plan);
+  // Sorts the plan root to leaf (ResourceId order), merges duplicates to
+  // their supremum, and acquires it for the session's transaction. On
+  // deadlock or timeout fills `refused`; the transaction keeps already-held
+  // locks and the caller rolls back.
+  Status AcquirePlanLocks(Session& s, std::vector<LockPlanEntry>* plan,
+                          LockRefusal* refused);
+  // Appends the engine.deadlock_victim journal event for a refused plan.
+  void JournalLockRefusal(const sql::Statement& stmt,
+                          const LockRefusal& refused);
 
   // Appends a row-op WAL record in the flavor's style and tracks undo info.
   void LogRowOp(Session& s, LogOp op, int32_t table_id, const HeapTable& table,

@@ -561,30 +561,25 @@ void Database::PlanSelectLocks(const sql::Statement& stmt,
   }
   if (tables.empty()) return;
 
-  if (tables.size() == 1 && tables[0].first->index() != nullptr) {
-    // Mirror the access-path planner: a WHERE that pins the full primary
-    // key with literal equality reads exactly one key, so an intention
-    // lock plus a shared key lock suffices (equality predicates cannot see
-    // phantoms — any INSERT of that key takes the same key X).
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(stmt.where.get(), &conjuncts);
-    std::vector<AccessPath> paths = PlanAccessPaths(conjuncts, tables, traits_);
-    const TableIndex* index = tables[0].first->index();
-    if (paths[0].index == index &&
-        paths[0].prefix_exprs.size() == index->key_columns().size()) {
-      auto h = HashKeyLiterals(tables[0].first->schema(), index->key_columns(),
-                               paths[0].prefix_exprs);
-      if (h.has_value()) {
-        plan->push_back(
-            {ResourceId::Table(ids[0]), LockMode::kIntentionShared});
-        plan->push_back({ResourceId::Key(ids[0], *h), LockMode::kShared});
-        return;
-      }
+  // Mirror the access-path planner, per table: a primary-key path whose
+  // equality prefix starts with literals reads only rows inside the granule
+  // those literals pin — one key, or one key-prefix granule — so intention
+  // locks above it and S on it suffice. Phantoms stay out: an INSERT under
+  // that granule takes IX (or X) on it. Anything else (secondary-index
+  // paths, scans, join columns in the leading key position) takes table S.
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(stmt.where.get(), &conjuncts);
+  std::vector<AccessPath> paths = PlanAccessPaths(conjuncts, tables, traits_);
+  static const std::vector<const Expr*> kNoPrefix;
+  for (size_t d = 0; d < tables.size(); ++d) {
+    const TableIndex* pk = tables[d].first->index();
+    if (pk == nullptr) {
+      plan->push_back({ResourceId::Table(ids[d]), LockMode::kShared});
+      continue;
     }
-  }
-  // Scans and joins read arbitrary rows: table S on every source.
-  for (int32_t id : ids) {
-    plan->push_back({ResourceId::Table(id), LockMode::kShared});
+    PlanKeyPath(ids[d], tables[d].first->schema(), pk->key_columns(),
+                paths[d].index == pk ? paths[d].prefix_exprs : kNoPrefix,
+                LockMode::kIntentionShared, LockMode::kShared, plan);
   }
 }
 

@@ -93,6 +93,11 @@ const Metrics& Metrics::Get() {
         "irdb_engine_deadlock_aborts_total",
         "Lock requests aborted by waits-for cycle detection; the victim "
         "transaction is rolled back (engine.deadlocks.aborted)");
+    m->engine_lock_timeouts = r.RegisterCounter(
+        "irdb_engine_lock_timeouts_total",
+        "Lock requests aborted by the wait-timeout failsafe; the victim "
+        "transaction is rolled back. The only resolver of lock cycles that "
+        "cross shards, which per-shard cycle detection cannot see");
 
     m->index_scans = r.RegisterCounter(
         "irdb_index_scans_total",
@@ -119,8 +124,8 @@ const Metrics& Metrics::Get() {
 
     m->quarantine_slices = r.RegisterGauge(
         "irdb_quarantine_slices",
-        "Slices (whole tables + key-hash buckets) currently quarantined by "
-        "an online repair; 0 when no quarantine is active");
+        "Slices (whole tables + fenced primary keys) currently quarantined "
+        "by an online repair; 0 when no quarantine is active");
     m->quarantine_rejects = r.RegisterCounter(
         "irdb_quarantine_rejects_total",
         "Statements rejected with [quarantine]-tagged kUnavailable because "
@@ -347,9 +352,10 @@ const std::vector<SpanDoc>& SpanCatalog() {
        "proxy-id order (the unit of replay parallelism); args: component, "
        "txns."},
       {span::kQuarantineCompute,
-       "Contaminated-partition computation: undo-set ops mapped to (table, "
-       "key-hash-bucket) slices, coarsening to whole tables where the key "
-       "cannot be named; args: slices, tables, rounds."},
+       "Contaminated-partition computation: undo-set ops mapped to fenced "
+       "primary keys (each with its enclosing prefix granules), coarsening "
+       "to whole tables where the key cannot be named; args: slices, "
+       "tables, rounds."},
       {span::kQuarantineHold,
        "Quarantine window of one online repair: install through final "
        "release. Clean traffic keeps flowing; quarantined slices reject with "
@@ -391,6 +397,12 @@ const std::vector<EventDoc>& EventCatalog() {
       {event::kWalTornTail, "dropped_bytes",
        "WAL decode truncated a torn final frame and recovered from the "
        "intact prefix."},
+      {event::kEngineDeadlockVictim,
+       "table, level, requested, held, cause, stmt",
+       "A statement's lock request was refused and its transaction rolled "
+       "back: the lock's table and level (table, prefix, key), the mode "
+       "asked for, the grant being converted from (or -), the cause "
+       "(cycle, timeout) and the statement kind."},
       {event::kRepairAnalyzeDone, "records, nodes, edges, gaps",
        "A dependency analysis completed."},
       {event::kRepairDone, "undone, stmts",

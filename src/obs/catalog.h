@@ -53,6 +53,7 @@ struct Metrics {
   // --- lock manager (src/concurrency) ---
   MetricId engine_lock_waits;
   MetricId engine_deadlock_aborts;
+  MetricId engine_lock_timeouts;
 
   // --- storage: access paths + buffer pool (src/storage, src/engine) ---
   MetricId index_scans;
@@ -173,6 +174,7 @@ inline constexpr const char* kProxyDegradedCommit = "proxy.degraded_commit";
 inline constexpr const char* kProxyTrackingGap = "proxy.tracking_gap";
 inline constexpr const char* kProxyCacheInvalidation = "proxy.cache_invalidation";
 inline constexpr const char* kWalTornTail = "wal.torn_tail";
+inline constexpr const char* kEngineDeadlockVictim = "engine.deadlock_victim";
 inline constexpr const char* kRepairAnalyzeDone = "repair.analyze_done";
 inline constexpr const char* kRepairDone = "repair.done";
 inline constexpr const char* kReenactDone = "repair.reenact_done";

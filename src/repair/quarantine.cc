@@ -21,8 +21,9 @@ struct TableAccum {
   std::vector<std::string> key_columns;  // empty → no PK index
   bool whole = false;
   bool fallback = false;  // whole because precision was lost
-  // Ops keyed by their PK literals (populated as resolved); buckets derive
-  // from these at the end so a late whole-table escalation discards them.
+  // Ops keyed by their PK literals (populated as resolved); key slices
+  // derive from these at the end so a late whole-table escalation discards
+  // them.
   std::vector<std::pair<const RepairOp*, std::vector<std::pair<std::string, Value>>>>
       keyed_ops;
   // kUpdate ops whose PK must come from the row address.
@@ -118,7 +119,7 @@ ContaminatedPartition ComputeContaminatedPartition(
       case LogOp::kUpdate: {
         // Before-values carry only the changed columns; a key column among
         // them means the update rewrote the primary key — both old and new
-        // buckets are dirty and the row's lane-time key is unstable, so the
+        // keys are dirty and the row's lane-time key is unstable, so the
         // whole table is fenced.
         if (TouchesKeyColumn(t.key_columns, op.values)) {
           t.whole = true;
@@ -177,33 +178,37 @@ ContaminatedPartition ComputeContaminatedPartition(
     if (metadata) part.metadata_tables.insert(table_key);
     if (t.whole) {
       if (!metadata) {
-        part.slices.push_back({t.table_id, 0});
+        part.slices.push_back(
+            concurrency::QuarantineSlice::WholeTable(t.table_id));
         part.whole_tables.insert(table_key);
         if (t.fallback) ++part.fallback_whole_tables;
       }
       continue;  // annotations dropped: lanes take coarse locks anyway
     }
-    std::set<uint64_t> buckets;
+    // Each fenced key's lock path, named by the planner's own key-hash
+    // pass; keys shared by several ops fence once.
+    std::map<concurrency::ResourceId, concurrency::QuarantineSlice> keys;
     for (auto& [op, key] : t.keyed_ops) {
-      auto h = db->KeyHashForValues(table_key, key);
-      if (!h.has_value()) {
+      auto path = db->KeyLockPath(table_key, key);
+      if (!path.has_value()) {
         // Coercion failed late (schema changed under us): degrade to whole.
-        buckets.clear();
+        keys.clear();
         if (!metadata) {
-          part.slices.push_back({t.table_id, 0});
+          part.slices.push_back(
+              concurrency::QuarantineSlice::WholeTable(t.table_id));
           part.whole_tables.insert(table_key);
           ++part.fallback_whole_tables;
         }
         break;
       }
-      buckets.insert(
-          concurrency::ResourceId::Key(t.table_id, *h).key_hash);
+      const concurrency::ResourceId leaf = path->back();
+      keys.try_emplace(leaf, concurrency::QuarantineSlice{std::move(*path)});
       part.op_keys[op] = std::move(key);
     }
     if (!metadata) {
-      for (uint64_t b : buckets) part.slices.push_back({t.table_id, b});
+      for (auto& [leaf, slice] : keys) part.slices.push_back(std::move(slice));
     }
-    part.key_buckets += static_cast<int>(buckets.size());
+    part.keys += static_cast<int>(keys.size());
   }
   return part;
 }

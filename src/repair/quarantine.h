@@ -1,8 +1,9 @@
 // Contaminated-partition computation for online ("serve-through") repair
 // (DESIGN.md §5g).
 //
-// From the dependency closure, derives the set of (table, key-hash bucket)
-// slices the undone transactions wrote — in the exact resource space the
+// From the dependency closure, derives the set of slices the undone
+// transactions wrote — each fenced primary key as its lock path (table,
+// enclosing prefix granules, key), in the exact resource space the
 // engine's lock planner uses — plus whole-table slices wherever key
 // precision is unattainable: tables without a primary-key index, updates
 // that rewrote a primary key, and row addresses that resolve to neither a
@@ -27,7 +28,7 @@
 namespace irdb::repair {
 
 // Primary-key literals per undone op (pointers into
-// DependencyAnalysis::ops). Populated only for bucket-sliced tables, where
+// DependencyAnalysis::ops). Populated only for key-sliced tables, where
 // no undone op rewrote a primary key — so the annotated key is stable for
 // the whole lane.
 using OpKeyMap =
@@ -52,7 +53,7 @@ struct ContaminatedPartition {
 
   OpKeyMap op_keys;
 
-  int key_buckets = 0;
+  int keys = 0;  // distinct fenced keys
   // Whole-table slices forced by lost precision (no PK index, primary key
   // rewritten by an undone update, or unresolvable row address).
   int fallback_whole_tables = 0;

@@ -37,13 +37,7 @@ int64_t ImageBytes(const LogRecord& rec) {
 // prove the slices are quiet, not keep them so. Bounded deadlock retries:
 // the drain can lose a waits-for cycle against a multi-statement client.
 Status DrainQuarantinedSlices(Database* db) {
-  auto plan = db->quarantine().DrainPlan();
-  std::sort(plan.begin(), plan.end(), [](const auto& a, const auto& b) {
-    if (a.first.table_id != b.first.table_id) {
-      return a.first.table_id < b.first.table_id;
-    }
-    return a.first.key_hash < b.first.key_hash;  // table (0) before keys
-  });
+  const auto plan = db->quarantine().DrainPlan();  // root to leaf
   Status last = Status::Ok();
   for (int attempt = 0; attempt < 16; ++attempt) {
     // Transactions already pinning a fenced slice would never release it
@@ -261,7 +255,7 @@ Result<OnlineRepairReport> RepairEngine::RepairOnline(
     }
     out.slices_installed = static_cast<int>(part.slices.size());
     out.whole_table_slices = static_cast<int>(part.whole_tables.size());
-    out.key_bucket_slices = part.key_buckets;
+    out.key_slices = part.keys;
     out.fallback_whole_tables = part.fallback_whole_tables;
     compute.AddArg("slices", out.slices_installed);
     compute.AddArg("tables", static_cast<int64_t>(part.table_ids.size()));

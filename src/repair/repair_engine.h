@@ -35,7 +35,7 @@ struct OnlineRepairReport {
   int rounds = 0;              // analyze→quarantine→drain fixpoint iterations
   int slices_installed = 0;    // rejection slices at the hold point
   int whole_table_slices = 0;
-  int key_bucket_slices = 0;
+  int key_slices = 0;
   int fallback_whole_tables = 0;  // precision lost (no PK / PK rewritten)
   int lanes = 0;               // per-table compensation transactions
   int slices_released = 0;     // released incrementally as lanes committed

@@ -17,6 +17,9 @@
 #include "concurrency/lock_manager.h"
 #include "concurrency/transaction_manager.h"
 #include "engine/database.h"
+#include "obs/catalog.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
 #include "proxy/tracking_proxy.h"
 #include "wire/connection.h"
 
@@ -33,6 +36,7 @@ using concurrency::ResourceId;
 constexpr LockMode kIS = LockMode::kIntentionShared;
 constexpr LockMode kIX = LockMode::kIntentionExclusive;
 constexpr LockMode kS = LockMode::kShared;
+constexpr LockMode kSIX = LockMode::kSharedIntentionExclusive;
 constexpr LockMode kX = LockMode::kExclusive;
 
 TEST(LockModes, CompatibilityMatrix) {
@@ -40,19 +44,25 @@ TEST(LockModes, CompatibilityMatrix) {
   EXPECT_TRUE(LockCompatible(kIS, kIS));
   EXPECT_TRUE(LockCompatible(kIS, kIX));
   EXPECT_TRUE(LockCompatible(kIS, kS));
+  EXPECT_TRUE(LockCompatible(kIS, kSIX));
   EXPECT_FALSE(LockCompatible(kIS, kX));
-  // IX conflicts with S and X.
+  // IX conflicts with S, SIX and X.
   EXPECT_TRUE(LockCompatible(kIX, kIX));
   EXPECT_FALSE(LockCompatible(kIX, kS));
+  EXPECT_FALSE(LockCompatible(kIX, kSIX));
   EXPECT_FALSE(LockCompatible(kIX, kX));
-  // S conflicts with IX and X.
+  // S conflicts with IX, SIX and X.
   EXPECT_TRUE(LockCompatible(kS, kS));
+  EXPECT_FALSE(LockCompatible(kS, kSIX));
   EXPECT_FALSE(LockCompatible(kS, kX));
+  // SIX admits only IS.
+  EXPECT_FALSE(LockCompatible(kSIX, kSIX));
+  EXPECT_FALSE(LockCompatible(kSIX, kX));
   // X conflicts with everything.
   EXPECT_FALSE(LockCompatible(kX, kX));
   // Symmetry.
-  for (LockMode a : {kIS, kIX, kS, kX}) {
-    for (LockMode b : {kIS, kIX, kS, kX}) {
+  for (LockMode a : {kIS, kIX, kS, kSIX, kX}) {
+    for (LockMode b : {kIS, kIX, kS, kSIX, kX}) {
       EXPECT_EQ(LockCompatible(a, b), LockCompatible(b, a));
     }
   }
@@ -61,15 +71,41 @@ TEST(LockModes, CompatibilityMatrix) {
 TEST(LockModes, SupremumLattice) {
   EXPECT_EQ(LockSupremum(kIS, kIX), kIX);
   EXPECT_EQ(LockSupremum(kIS, kS), kS);
-  EXPECT_EQ(LockSupremum(kS, kIX), kX);  // no SIX: collapses to X
+  EXPECT_EQ(LockSupremum(kS, kIX), kSIX);  // read all, write some below
   EXPECT_EQ(LockSupremum(kS, kS), kS);
-  for (LockMode a : {kIS, kIX, kS, kX}) {
+  EXPECT_EQ(LockSupremum(kIS, kSIX), kSIX);
+  EXPECT_EQ(LockSupremum(kIX, kSIX), kSIX);
+  EXPECT_EQ(LockSupremum(kS, kSIX), kSIX);
+  for (LockMode a : {kIS, kIX, kS, kSIX, kX}) {
     EXPECT_EQ(LockSupremum(a, kX), kX);
     EXPECT_EQ(LockSupremum(a, a), a);
-    for (LockMode b : {kIS, kIX, kS, kX}) {
+    for (LockMode b : {kIS, kIX, kS, kSIX, kX}) {
       EXPECT_EQ(LockSupremum(a, b), LockSupremum(b, a));
+      // The supremum is an upper bound: whatever conflicts with a or b
+      // conflicts with it too.
+      for (LockMode c : {kIS, kIX, kS, kSIX, kX}) {
+        if (!LockCompatible(a, c) || !LockCompatible(b, c)) {
+          EXPECT_FALSE(LockCompatible(LockSupremum(a, b), c));
+        }
+      }
     }
   }
+}
+
+TEST(LockModes, ResourceOrderIsRootToLeaf) {
+  // Sorted (table, level, depth, hash): a granule never precedes one that
+  // encloses it, whatever the hashes.
+  const ResourceId table = ResourceId::Table(2);
+  const ResourceId w = ResourceId::Prefix(2, 1, ~0ULL);
+  const ResourceId wd = ResourceId::Prefix(2, 2, 1);
+  const ResourceId key = ResourceId::Key(2, 0);
+  EXPECT_LT(table, w);
+  EXPECT_LT(w, wd);
+  EXPECT_LT(wd, key);
+  EXPECT_LT(key, ResourceId::Table(3));
+  // Same hash on different levels names different resources.
+  EXPECT_FALSE(ResourceId::Prefix(2, 1, 7) == ResourceId::Prefix(2, 2, 7));
+  EXPECT_FALSE(ResourceId::Prefix(2, 1, 7) == ResourceId::Key(2, 7));
 }
 
 TEST(LockManagerTest, SharedGrantsCoexistKeysAreIndependent) {
@@ -77,8 +113,7 @@ TEST(LockManagerTest, SharedGrantsCoexistKeysAreIndependent) {
   const ResourceId table = ResourceId::Table(1);
   ASSERT_TRUE(lm.Acquire(1, table, kIS).ok());
   ASSERT_TRUE(lm.Acquire(2, table, kIX).ok());
-  // Different keys under the same table never conflict. (Key hashes get
-  // their low bit forced on, so 10 and 12 normalize to distinct names.)
+  // Different keys under the same table never conflict.
   ASSERT_TRUE(lm.Acquire(1, ResourceId::Key(1, 10), kS).ok());
   ASSERT_TRUE(lm.Acquire(2, ResourceId::Key(1, 12), kX).ok());
   EXPECT_EQ(lm.held_count(1), 2);
@@ -390,6 +425,238 @@ TEST(ConcurrentEngineTest, ExplicitTxnDeadlockPoisonsUntilRollback) {
   EXPECT_TRUE(victim.Execute("SELECT v FROM t WHERE id = 1").ok());
   EXPECT_GE(db.stats().deadlock_aborts, 1);
   EXPECT_GE(db.txn_manager().locks().stats().deadlocks, 1);
+}
+
+// ------------------------------------------------- key-prefix granules
+
+// order_line(w, d, o, n) and customer(w, d, c), the TPC-C key shapes, with
+// a short wait timeout so a wrongly blocked statement fails fast instead
+// of hanging the suite.
+class PrefixGranuleTest : public ::testing::Test {
+ protected:
+  PrefixGranuleTest() : db_(FlavorTraits::Postgres()) {
+    db_.txn_manager().locks().set_wait_timeout_seconds(5.0);
+    DirectConnection setup(&db_);
+    Exec(setup, "CREATE TABLE order_line (w INTEGER, d INTEGER, o INTEGER,"
+                " n INTEGER, amount INTEGER, PRIMARY KEY (w, d, o, n))");
+    Exec(setup, "INSERT INTO order_line (w, d, o, n, amount) VALUES"
+                " (1, 1, 1, 1, 10), (1, 1, 1, 2, 20), (1, 1, 2, 1, 30),"
+                " (1, 2, 1, 1, 40)");
+    Exec(setup, "CREATE TABLE customer (w INTEGER, d INTEGER, c INTEGER,"
+                " last VARCHAR(16), bal INTEGER, PRIMARY KEY (w, d, c))");
+    Exec(setup, "INSERT INTO customer (w, d, c, last, bal) VALUES"
+                " (1, 1, 1, 'ABLE', 0), (1, 1, 2, 'BAKER', 0),"
+                " (1, 2, 1, 'ABLE', 0), (1, 2, 2, 'BAKER', 0)");
+  }
+
+  static ResultSet Exec(DirectConnection& conn, const std::string& sql) {
+    auto r = conn.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    return r.ok() ? std::move(r).value() : ResultSet{};
+  }
+
+  int64_t Waits() const { return db_.txn_manager().locks().stats().waits; }
+
+  // Runs `sql` on its own connection and thread; Wait() joins it.
+  struct Pending {
+    std::thread thread;
+    std::atomic<bool> done{false};
+    Status status;
+    void Wait() { thread.join(); }
+  };
+  void Start(Pending* p, std::string sql) {
+    p->thread = std::thread([this, p, sql = std::move(sql)] {
+      DirectConnection conn(&db_);
+      auto r = conn.Execute(sql);
+      p->status = r.ok() ? Status::Ok() : r.status();
+      p->done.store(true);
+    });
+  }
+  // Blocks until the lock manager has seen `n` waits in total.
+  void AwaitWaits(int64_t n) const {
+    while (Waits() < n) std::this_thread::yield();
+  }
+
+  Database db_;
+};
+
+TEST_F(PrefixGranuleTest, PrefixScanBlocksPhantomInsertInItsGranuleOnly) {
+  DirectConnection scanner(&db_), writer(&db_);
+  Exec(scanner, "BEGIN");
+  ResultSet before =
+      Exec(scanner, "SELECT COUNT(*) FROM order_line WHERE w = 1 AND d = 1");
+  ASSERT_EQ(before.rows.size(), 1u);
+  EXPECT_EQ(before.rows[0][0].as_int(), 3);
+
+  // Another district's granule is free.
+  Exec(writer, "INSERT INTO order_line (w, d, o, n, amount) VALUES"
+               " (1, 2, 2, 1, 50)");
+  EXPECT_EQ(Waits(), 0);
+
+  // A row under the scanned prefix waits for the scanner's commit.
+  Pending insert;
+  Start(&insert, "INSERT INTO order_line (w, d, o, n, amount) VALUES"
+                 " (1, 1, 3, 1, 60)");
+  AwaitWaits(1);
+  EXPECT_FALSE(insert.done.load());
+  ResultSet again =
+      Exec(scanner, "SELECT COUNT(*) FROM order_line WHERE w = 1 AND d = 1");
+  EXPECT_EQ(again.rows[0][0].as_int(), 3) << "phantom row visible";
+  Exec(scanner, "COMMIT");
+  insert.Wait();
+  EXPECT_TRUE(insert.status.ok()) << insert.status.ToString();
+  ResultSet after =
+      Exec(writer, "SELECT COUNT(*) FROM order_line WHERE w = 1 AND d = 1");
+  EXPECT_EQ(after.rows[0][0].as_int(), 4);
+}
+
+TEST_F(PrefixGranuleTest, ByNamePaymentsInTwoDistrictsNeverWait) {
+  // Payment by last name: prefix read of the district's customers, then a
+  // keyed update of one of them. Locked at table granularity, the two
+  // reads share table S and each update needs S+IX on it: a deadlock.
+  DirectConnection p1(&db_), p2(&db_);
+  Exec(p1, "BEGIN");
+  Exec(p2, "BEGIN");
+  Exec(p1, "SELECT c FROM customer WHERE w = 1 AND d = 1 AND last = 'ABLE'"
+           " ORDER BY c");
+  Exec(p2, "SELECT c FROM customer WHERE w = 1 AND d = 2 AND last = 'BAKER'"
+           " ORDER BY c");
+  Exec(p1, "UPDATE customer SET bal = bal + 5 WHERE w = 1 AND d = 1 AND c = 1");
+  Exec(p2, "UPDATE customer SET bal = bal + 7 WHERE w = 1 AND d = 2 AND c = 2");
+  Exec(p1, "COMMIT");
+  Exec(p2, "COMMIT");
+  const concurrency::LockManagerStats st = db_.txn_manager().locks().stats();
+  EXPECT_EQ(st.waits, 0);
+  EXPECT_EQ(st.deadlocks, 0);
+  EXPECT_EQ(st.timeouts, 0);
+  ResultSet bal = Exec(p1, "SELECT SUM(bal) FROM customer");
+  EXPECT_EQ(bal.rows[0][0].as_int(), 12);
+}
+
+TEST_F(PrefixGranuleTest, SixAdmitsKeyReadersUnderTheReadGranule) {
+  // A by-name Payment holds SIX on its district after its keyed update; a
+  // NewOrder-style keyed read of another customer there passes (IS is
+  // compatible with SIX), the updated customer's key still blocks.
+  DirectConnection payment(&db_), reader(&db_);
+  Exec(payment, "BEGIN");
+  Exec(payment,
+       "SELECT c FROM customer WHERE w = 1 AND d = 1 AND last = 'ABLE'");
+  Exec(payment, "UPDATE customer SET bal = 9 WHERE w = 1 AND d = 1 AND c = 1");
+  Exec(reader, "SELECT bal FROM customer WHERE w = 1 AND d = 1 AND c = 2");
+  EXPECT_EQ(Waits(), 0);
+  Pending blocked;
+  Start(&blocked, "SELECT bal FROM customer WHERE w = 1 AND d = 1 AND c = 1");
+  AwaitWaits(1);
+  EXPECT_FALSE(blocked.done.load());
+  Exec(payment, "COMMIT");
+  blocked.Wait();
+  EXPECT_TRUE(blocked.status.ok()) << blocked.status.ToString();
+}
+
+TEST_F(PrefixGranuleTest, DeliveryPrefixUpdateBlocksKeyReadsUnderItOnly) {
+  // Delivery: UPDATE order_line ... WHERE w, d, o takes X on the (w,d,o)
+  // granule, not on the table.
+  DirectConnection delivery(&db_), reader(&db_);
+  Exec(delivery, "BEGIN");
+  Exec(delivery, "UPDATE order_line SET amount = amount + 1"
+                 " WHERE o = 1 AND d = 1 AND w = 1");
+  // Other orders of the same district, and other districts, stay readable.
+  Exec(reader, "SELECT amount FROM order_line"
+               " WHERE w = 1 AND d = 1 AND o = 2 AND n = 1");
+  Exec(reader, "SELECT SUM(amount) FROM order_line WHERE w = 1 AND d = 2");
+  EXPECT_EQ(Waits(), 0);
+
+  Pending blocked;
+  Start(&blocked, "SELECT amount FROM order_line"
+                  " WHERE w = 1 AND d = 1 AND o = 1 AND n = 2");
+  AwaitWaits(1);
+  EXPECT_FALSE(blocked.done.load());
+  Exec(delivery, "COMMIT");
+  blocked.Wait();
+  EXPECT_TRUE(blocked.status.ok()) << blocked.status.ToString();
+}
+
+// --------------------------------------------------- abort attribution
+
+TEST(LockAbortAttribution, ConversionDeadlockJournalsOneVictim) {
+  Database db(FlavorTraits::Postgres());
+  DirectConnection c1(&db), c2(&db);
+  ASSERT_TRUE(c1.Execute("CREATE TABLE t (id INTEGER NOT NULL, v INTEGER, "
+                         "PRIMARY KEY(id))")
+                  .ok());
+  ASSERT_TRUE(c1.Execute("INSERT INTO t (id, v) VALUES (1, 0)").ok());
+  obs::EventJournal& journal = obs::EventJournal::Default();
+  const int64_t events_before =
+      journal.CountType(obs::event::kEngineDeadlockVictim);
+
+  // Both read the key (S), then both write it (S -> X): the canonical
+  // conversion deadlock.
+  ASSERT_TRUE(c1.Execute("BEGIN").ok());
+  ASSERT_TRUE(c2.Execute("BEGIN").ok());
+  ASSERT_TRUE(c1.Execute("SELECT v FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(c2.Execute("SELECT v FROM t WHERE id = 1").ok());
+  Status s1, s2;
+  std::thread first([&] {
+    auto r = c1.Execute("UPDATE t SET v = 1 WHERE id = 1");
+    s1 = r.ok() ? Status::Ok() : r.status();
+  });
+  while (db.txn_manager().locks().stats().waits < 1) {
+    std::this_thread::yield();
+  }
+  {
+    auto r = c2.Execute("UPDATE t SET v = 2 WHERE id = 1");
+    s2 = r.ok() ? Status::Ok() : r.status();
+  }
+  first.join();
+  ASSERT_NE(s1.ok(), s2.ok());
+  EXPECT_TRUE(IsDeadlockAbort(s1.ok() ? s2 : s1));
+  DirectConnection& victim = s1.ok() ? c2 : c1;
+  DirectConnection& survivor = s1.ok() ? c1 : c2;
+  EXPECT_TRUE(victim.Execute("ROLLBACK").ok());
+  EXPECT_TRUE(survivor.Execute("COMMIT").ok());
+
+  EXPECT_EQ(journal.CountType(obs::event::kEngineDeadlockVictim),
+            events_before + 1);
+  const std::vector<obs::JournalEvent> events = journal.Snapshot();
+  const obs::JournalEvent* last = nullptr;
+  for (const obs::JournalEvent& e : events) {
+    if (e.type == obs::event::kEngineDeadlockVictim) last = &e;
+  }
+  ASSERT_NE(last, nullptr);
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(last->fields, (Fields{{"table", "t"},
+                                  {"level", "key"},
+                                  {"requested", "X"},
+                                  {"held", "S"},
+                                  {"cause", "cycle"},
+                                  {"stmt", "UPDATE"}}));
+}
+
+TEST(LockAbortAttribution, WaitTimeoutCountsAsTimeoutNotDeadlock) {
+  Database db(FlavorTraits::Postgres());
+  db.txn_manager().locks().set_wait_timeout_seconds(0.05);
+  DirectConnection holder(&db), waiter(&db);
+  ASSERT_TRUE(holder.Execute("CREATE TABLE t (id INTEGER NOT NULL, v "
+                             "INTEGER, PRIMARY KEY(id))")
+                  .ok());
+  ASSERT_TRUE(holder.Execute("INSERT INTO t (id, v) VALUES (1, 0)").ok());
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::Metrics& m = obs::Metrics::Get();
+  const int64_t timeouts_before = reg.CounterValue(m.engine_lock_timeouts);
+  const int64_t deadlocks_before = reg.CounterValue(m.engine_deadlock_aborts);
+
+  // An idle holder: no cycle exists, only the failsafe can end the wait.
+  ASSERT_TRUE(holder.Execute("BEGIN").ok());
+  ASSERT_TRUE(holder.Execute("UPDATE t SET v = 1 WHERE id = 1").ok());
+  auto r = waiter.Execute("UPDATE t SET v = 2 WHERE id = 1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(IsDeadlockAbort(r.status()));
+  EXPECT_TRUE(r.status().IsRetryable());  // autocommit: safe to re-run
+  ASSERT_TRUE(holder.Execute("COMMIT").ok());
+
+  EXPECT_EQ(reg.CounterValue(m.engine_lock_timeouts), timeouts_before + 1);
+  EXPECT_EQ(reg.CounterValue(m.engine_deadlock_aborts), deadlocks_before);
+  EXPECT_EQ(db.txn_manager().locks().stats().timeouts, 1);
 }
 
 // Serial-vs-concurrent tracking completeness: the same 8-thread tracked

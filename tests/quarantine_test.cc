@@ -25,6 +25,7 @@ namespace irdb {
 namespace {
 
 using concurrency::LockMode;
+using concurrency::LockModeName;
 using concurrency::QuarantineManager;
 using concurrency::QuarantineSlice;
 using concurrency::ResourceId;
@@ -32,6 +33,7 @@ using concurrency::ResourceId;
 constexpr LockMode kIS = LockMode::kIntentionShared;
 constexpr LockMode kIX = LockMode::kIntentionExclusive;
 constexpr LockMode kS = LockMode::kShared;
+constexpr LockMode kSIX = LockMode::kSharedIntentionExclusive;
 constexpr LockMode kX = LockMode::kExclusive;
 
 ResultSet Must(DbConnection* conn, const std::string& sql) {
@@ -60,19 +62,30 @@ TEST(QuarantineManagerTest, SingleClaimUntilEnd) {
   qm.End();
 }
 
+// A key slice as its lock path: the table, the enclosing prefix granules,
+// then the key.
+QuarantineSlice KeySlice(int32_t table, std::vector<ResourceId> prefixes,
+                         uint64_t key_hash) {
+  QuarantineSlice slice{{ResourceId::Table(table)}};
+  for (const ResourceId& p : prefixes) slice.path.push_back(p);
+  slice.path.push_back(ResourceId::Key(table, key_hash));
+  return slice;
+}
+
 TEST(QuarantineManagerTest, BlocksFollowsSliceGranularity) {
   QuarantineManager qm;
   ASSERT_TRUE(qm.Begin().ok());
-  const uint64_t b1 = ResourceId::Key(1, 10).key_hash;
-  const uint64_t b2 = ResourceId::Key(1, 12).key_hash;
-  qm.Add({{1, b1}, {2, 0}});  // bucket of table 1, all of table 2
+  // A key of table 1, all of table 2.
+  qm.Add({KeySlice(1, {}, 10), QuarantineSlice::WholeTable(2)});
 
-  // Bucket slice: own bucket and coarse table locks conflict; intention
-  // modes and other buckets pass (their key locks are checked on their own).
+  // Key slice: own key and granule-covering table locks conflict;
+  // intention modes and other keys pass (their key locks are checked on
+  // their own).
   EXPECT_TRUE(qm.Blocks(ResourceId::Key(1, 10), kX));
   EXPECT_TRUE(qm.Blocks(ResourceId::Key(1, 10), kS));
   EXPECT_FALSE(qm.Blocks(ResourceId::Key(1, 12), kX));
   EXPECT_TRUE(qm.Blocks(ResourceId::Table(1), kS));
+  EXPECT_TRUE(qm.Blocks(ResourceId::Table(1), kSIX));
   EXPECT_TRUE(qm.Blocks(ResourceId::Table(1), kX));
   EXPECT_FALSE(qm.Blocks(ResourceId::Table(1), kIS));
   EXPECT_FALSE(qm.Blocks(ResourceId::Table(1), kIX));
@@ -80,16 +93,17 @@ TEST(QuarantineManagerTest, BlocksFollowsSliceGranularity) {
   // Whole-table slice: everything on the table conflicts.
   EXPECT_TRUE(qm.Blocks(ResourceId::Table(2), kIS));
   EXPECT_TRUE(qm.Blocks(ResourceId::Table(2), kIX));
+  EXPECT_TRUE(qm.Blocks(ResourceId::Prefix(2, 1, 5), kIS));
   EXPECT_TRUE(qm.Blocks(ResourceId::Key(2, 99), kS));
 
   // Unrelated table untouched.
   EXPECT_FALSE(qm.Blocks(ResourceId::Table(3), kX));
   EXPECT_FALSE(qm.Blocks(ResourceId::Key(3, 10), kX));
 
-  // Incremental release: bucket first, then the whole table.
-  EXPECT_EQ(qm.ReleaseKey(1, b1), 1);
+  // Incremental release: key first, then the whole table.
+  EXPECT_EQ(qm.ReleaseKey(ResourceId::Key(1, 10)), 1);
   EXPECT_FALSE(qm.Blocks(ResourceId::Key(1, 10), kX));
-  EXPECT_EQ(qm.ReleaseKey(1, b2), 0);  // never installed
+  EXPECT_EQ(qm.ReleaseKey(ResourceId::Key(1, 12)), 0);  // never installed
   EXPECT_EQ(qm.ReleaseTable(2), 1);
   EXPECT_FALSE(qm.Blocks(ResourceId::Table(2), kIX));
 
@@ -101,13 +115,71 @@ TEST(QuarantineManagerTest, BlocksFollowsSliceGranularity) {
   qm.End();
 }
 
+// customer(w, d, c) with key (1,1,7) fenced: its lock path runs through
+// the warehouse granule (w=1) and the district granule (w=1,d=1).
+struct FencedCustomer {
+  static constexpr int32_t kTable = 5;
+  const ResourceId w1 = ResourceId::Prefix(kTable, 1, 100);
+  const ResourceId w1d1 = ResourceId::Prefix(kTable, 2, 110);
+  const ResourceId w1d2 = ResourceId::Prefix(kTable, 2, 120);  // sibling
+  const ResourceId key = ResourceId::Key(kTable, 117);
+  QuarantineSlice slice() const { return KeySlice(kTable, {w1, w1d1}, 117); }
+};
+
+TEST(QuarantineManagerTest, BlocksGranuleCoveringModesOnAncestorPrefixes) {
+  const FencedCustomer c;
+  QuarantineManager qm;
+  ASSERT_TRUE(qm.Begin().ok());
+  qm.Add({c.slice()});
+
+  // S, SIX and X on an enclosing prefix read or write the fenced row.
+  for (LockMode m : {kS, kSIX, kX}) {
+    EXPECT_TRUE(qm.Blocks(c.w1, m)) << LockModeName(m);
+    EXPECT_TRUE(qm.Blocks(c.w1d1, m)) << LockModeName(m);
+    // The sibling district encloses no fenced key.
+    EXPECT_FALSE(qm.Blocks(c.w1d2, m)) << LockModeName(m);
+  }
+  // Intention modes only announce finer locks, judged on their own.
+  for (LockMode m : {kIS, kIX}) {
+    EXPECT_FALSE(qm.Blocks(c.w1, m)) << LockModeName(m);
+    EXPECT_FALSE(qm.Blocks(c.w1d1, m)) << LockModeName(m);
+  }
+  EXPECT_TRUE(qm.Blocks(c.key, kS));
+  EXPECT_FALSE(qm.Blocks(ResourceId::Key(FencedCustomer::kTable, 118), kX));
+  // Same depth and hash in another table: a different granule.
+  EXPECT_FALSE(qm.Blocks(ResourceId::Prefix(6, 2, 110), kX));
+
+  // A second fenced key in the sibling district shares the warehouse
+  // granule; releasing the first frees only its own district.
+  qm.Add({KeySlice(FencedCustomer::kTable, {c.w1, c.w1d2}, 127)});
+  EXPECT_EQ(qm.ReleaseKey(c.key), 1);
+  EXPECT_FALSE(qm.Blocks(c.w1d1, kS));
+  EXPECT_TRUE(qm.Blocks(c.w1d2, kS));
+  EXPECT_TRUE(qm.Blocks(c.w1, kS));
+  qm.End();
+}
+
+TEST(QuarantineManagerTest, DrainPlanTakesAncestorIntentionsRootToLeaf) {
+  const FencedCustomer c;
+  QuarantineManager qm;
+  ASSERT_TRUE(qm.Begin().ok());
+  qm.Add({c.slice()});
+  using Entry = std::pair<ResourceId, LockMode>;
+  const std::vector<Entry> want = {
+      {ResourceId::Table(FencedCustomer::kTable), kIX},
+      {c.w1, kIX},
+      {c.w1d1, kIX},
+      {c.key, kX}};
+  EXPECT_EQ(qm.DrainPlan(), want);
+  qm.End();
+}
+
 TEST(QuarantineManagerTest, WholeTableSubsumesBucketsAndDrainPlan) {
   QuarantineManager qm;
   ASSERT_TRUE(qm.Begin().ok());
-  const uint64_t b = ResourceId::Key(4, 6).key_hash;
-  EXPECT_EQ(qm.Add({{4, b}}), 1);
-  EXPECT_EQ(qm.Add({{4, b}}), 0);  // duplicate ignored
-  EXPECT_EQ(qm.Add({{4, 0}}), 1);  // whole table subsumes the bucket
+  EXPECT_EQ(qm.Add({KeySlice(4, {}, 6)}), 1);
+  EXPECT_EQ(qm.Add({KeySlice(4, {}, 6)}), 0);  // duplicate ignored
+  EXPECT_EQ(qm.Add({QuarantineSlice::WholeTable(4)}), 1);  // subsumes key
   EXPECT_EQ(qm.stats().slices, 1);
 
   auto plan = qm.DrainPlan();
@@ -131,16 +203,32 @@ class QuarantineGateTest : public ::testing::Test {
                 " (1, 'alice', 100.0), (2, 'bob', 200.0), (3, 'carol', 300.0)");
   }
 
-  uint64_t BucketOf(int id) {
-    auto h = db_.KeyHashForValues("account", {{"id", Value::Int(id)}});
-    EXPECT_TRUE(h.has_value());
-    return h.value_or(0);
+  // customer(w, d, c): two districts of warehouse 1, three customers each.
+  void SeedCustomers() {
+    DirectConnection conn(&db_);
+    Must(&conn, "CREATE TABLE cust (w INTEGER, d INTEGER, c INTEGER,"
+                " bal DOUBLE, PRIMARY KEY (w, d, c))");
+    Must(&conn, "INSERT INTO cust(w, d, c, bal) VALUES"
+                " (1, 1, 1, 10.0), (1, 1, 2, 20.0), (1, 1, 3, 30.0),"
+                " (1, 2, 1, 40.0), (1, 2, 2, 50.0), (1, 2, 3, 60.0)");
   }
 
-  int32_t TableId() {
-    auto id = db_.catalog().TableId("account");
-    EXPECT_TRUE(id.ok());
-    return id.ok() ? *id : -1;
+  // The slice fencing one row, named by the planner's own lock path.
+  QuarantineSlice SliceOf(
+      const std::string& table,
+      const std::vector<std::pair<std::string, Value>>& key) {
+    auto path = db_.KeyLockPath(table, key);
+    EXPECT_TRUE(path.has_value());
+    if (!path.has_value()) return QuarantineSlice::WholeTable(-1);
+    return QuarantineSlice{std::move(*path)};
+  }
+  QuarantineSlice SliceOf(int id) {
+    return SliceOf("account", {{"id", Value::Int(id)}});
+  }
+  QuarantineSlice CustomerSlice(int w, int d, int c) {
+    return SliceOf("cust", {{"w", Value::Int(w)},
+                            {"d", Value::Int(d)},
+                            {"c", Value::Int(c)}});
   }
 
   Database db_;
@@ -150,7 +238,7 @@ TEST_F(QuarantineGateTest, RejectsQuarantinedSliceServesCleanKeys) {
   Seed();
   auto& qm = db_.quarantine();
   ASSERT_TRUE(qm.Begin().ok());
-  qm.Add({{TableId(), ResourceId::Key(TableId(), BucketOf(1)).key_hash}});
+  qm.Add({SliceOf(1)});
 
   DirectConnection conn(&db_);
   // Quarantined key: retryable, tagged, nothing executed.
@@ -193,7 +281,7 @@ TEST_F(QuarantineGateTest, OpenTxnPinningSliceAbortsRetryablyNotDeadlock) {
 
   auto& qm = db_.quarantine();
   ASSERT_TRUE(qm.Begin().ok());
-  qm.Add({{TableId(), ResourceId::Key(TableId(), BucketOf(1)).key_hash}});
+  qm.Add({SliceOf(1)});
 
   // Its next statement — even one touching only clean keys — must be turned
   // away and the whole transaction rolled back, releasing the pinned lock.
@@ -230,7 +318,7 @@ TEST_F(QuarantineGateTest, DropTableOfQuarantinedSliceRejected) {
   }
   auto& qm = db_.quarantine();
   ASSERT_TRUE(qm.Begin().ok());
-  qm.Add({{TableId(), ResourceId::Key(TableId(), BucketOf(1)).key_hash}});
+  qm.Add({SliceOf(1)});
 
   DirectConnection conn(&db_);
   auto drop = conn.Execute("DROP TABLE account");
@@ -239,6 +327,62 @@ TEST_F(QuarantineGateTest, DropTableOfQuarantinedSliceRejected) {
   Must(&conn, "DROP TABLE scratch");  // unrelated DDL unaffected
   qm.End();
   Must(&conn, "DROP TABLE account");
+}
+
+TEST_F(QuarantineGateTest, PrefixScanOfCleanDistrictServedInFencedTable) {
+  SeedCustomers();
+  auto& qm = db_.quarantine();
+  ASSERT_TRUE(qm.Begin().ok());
+  qm.Add({CustomerSlice(1, 1, 2)});
+
+  DirectConnection conn(&db_);
+  // A clean district of the same warehouse: S on its prefix granule only.
+  ResultSet rs = Must(&conn, "SELECT c, bal FROM cust WHERE w = 1 AND d = 2");
+  EXPECT_EQ(rs.rows.size(), 3u);
+
+  // The fenced district and the warehouse enclosing it read the fenced
+  // row, and so does a prefix write on the district.
+  for (const char* sql : {"SELECT c FROM cust WHERE w = 1 AND d = 1",
+                          "SELECT c FROM cust WHERE w = 1",
+                          "SELECT c FROM cust",
+                          "UPDATE cust SET bal = 0 WHERE w = 1 AND d = 1"}) {
+    auto r = conn.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(IsQuarantineReject(r.status())) << r.status().ToString();
+  }
+  // A clean key inside the fenced district passes.
+  Must(&conn, "UPDATE cust SET bal = 35 WHERE w = 1 AND d = 1 AND c = 3");
+  auto fenced =
+      conn.Execute("SELECT bal FROM cust WHERE w = 1 AND d = 1 AND c = 2");
+  EXPECT_TRUE(IsQuarantineReject(fenced.status()));
+  qm.End();
+}
+
+TEST_F(QuarantineGateTest, OpenTxnHoldingAncestorPrefixIsEvicted) {
+  SeedCustomers();
+  // One reader holds S on the district granule enclosing the row about to
+  // be fenced, another on the sibling district.
+  DirectConnection pinner(&db_), sibling(&db_);
+  Must(&pinner, "BEGIN");
+  Must(&pinner, "SELECT c FROM cust WHERE w = 1 AND d = 1");
+  Must(&sibling, "BEGIN");
+  Must(&sibling, "SELECT c FROM cust WHERE w = 1 AND d = 2");
+
+  auto& qm = db_.quarantine();
+  ASSERT_TRUE(qm.Begin().ok());
+  qm.Add({CustomerSlice(1, 1, 2)});
+  EXPECT_EQ(db_.EvictQuarantinePinnedTxns(), 1);
+
+  // The evicted transaction is gone: retryable quarantine status until
+  // ROLLBACK acknowledges it.
+  auto next = pinner.Execute("SELECT c FROM cust WHERE w = 1 AND d = 2");
+  ASSERT_FALSE(next.ok());
+  EXPECT_TRUE(IsQuarantineReject(next.status())) << next.status().ToString();
+  EXPECT_TRUE(pinner.Execute("ROLLBACK").ok());
+  // The sibling-district reader kept its transaction.
+  Must(&sibling, "SELECT bal FROM cust WHERE w = 1 AND d = 2 AND c = 1");
+  Must(&sibling, "COMMIT");
+  qm.End();
 }
 
 // ------------------------------------------------------ RepairOnline edges
@@ -378,7 +522,7 @@ TEST(RepairOnlineTest, KeyedClosureMatchesOfflineRepair) {
   EXPECT_EQ(online.Hash({"account"}), offline.Hash({"account"}));
   // The PK'd table quarantines at bucket granularity, and every slice
   // installed was released on the way out.
-  EXPECT_GE(on->key_bucket_slices, 1);
+  EXPECT_GE(on->key_slices, 1);
   EXPECT_EQ(on->fallback_whole_tables, 0);
   EXPECT_EQ(on->slices_released, on->slices_installed);
   EXPECT_FALSE(online.rdb->db().quarantine().active());
