@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -13,6 +14,9 @@
 namespace irdb::net {
 
 namespace {
+
+// The listener's poller token; connection ids, the other tokens, start at 1.
+constexpr uint64_t kListenerToken = 0;
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -55,51 +59,45 @@ Status NetProxyServer::Start() {
   IRDB_CHECK_MSG(!running_, "NetProxyServer already started");
   IRDB_ASSIGN_OR_RETURN(
       listener_, ListenTcp(opts_.port, /*backlog=*/128, &port_, opts_.bind_any));
-  loop_ = std::make_unique<EventLoop>(opts_.force_poll);
-  pool_ = std::make_unique<util::ThreadPool>(opts_.exec_threads);
-  accepting_ = true;
-  accepting_work_ = true;
-  drain_requested_ = false;
-  drain_done_ = false;
-
-  IRDB_RETURN_IF_ERROR(loop_->Register(
-      listener_.get(), /*want_read=*/true, /*want_write=*/false,
-      [this](const PollEvents&) { OnListenerReadable(); }));
-  loop_->SetTick([this] { SweepIdle(); }, opts_.tick_interval_ms);
-  loop_thread_ = std::thread([this] { loop_->Run(); });
+  loop_ = std::make_unique<EventLoop>(
+      opts_.force_poll,
+      [this](uint64_t token, const PollEvents& ev) { OnEvent(token, ev); });
+  accepting_work_.store(true);
+  if (opts_.idle_timeout_seconds > 0) {
+    loop_->SetTick([this] { SweepIdle(); }, opts_.tick_interval_ms);
+  }
+  IRDB_RETURN_IF_ERROR(loop_->Add(listener_.get(), kListenerToken,
+                                  /*want_read=*/true, /*want_write=*/false));
+  const int threads = std::max(1, opts_.exec_threads);
+  for (int i = 0; i < threads; ++i) {
+    executors_.emplace_back([this] { loop_->Run(); });
+  }
   running_ = true;
   return Status::Ok();
 }
 
 void NetProxyServer::Stop() {
   if (!running_) return;
-  // 1. Stop accepting new connections AND new statement dispatches, on the
-  //    loop thread (accepting_work_ is loop-thread-owned); wait for the
-  //    flip so no Submit can race the pool teardown below.
-  std::promise<void> quiesced;
-  loop_->Post([this, &quiesced] {
-    StopAccepting();
-    accepting_work_ = false;
-    quiesced.set_value();
-  });
-  quiesced.get_future().wait();
-  // 2. Wait out in-flight statements: the pool destructor joins its workers
-  //    after the queue empties, and each completion has already been posted
-  //    to the (still running) loop, so every reply reaches an outbox.
-  pool_.reset();
-  // 3. Drain: close each connection once its outbox is flushed, bounded so
-  //    a dead client cannot wedge shutdown.
-  loop_->Post([this] { BeginDrain(); });
+  // 1. Refuse new connections and new statements: an executor checks the
+  //    gate before it takes each frame, so every frame is either answered
+  //    or left unread.
+  accepting_work_.store(false);
+  StopAccepting();
+  // 2. Drain: taking each connection's lock waits out its running statement;
+  //    a connection closes once its outbox is flushed, bounded so a dead
+  //    client cannot wedge shutdown.
+  BeginDrain();
+  bool drained;
   {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    if (!drain_cv_.wait_for(lock, std::chrono::seconds(2),
-                            [this] { return drain_done_; })) {
-      loop_->Post([this] { ForceCloseAll(); });
-      drain_cv_.wait(lock, [this] { return drain_done_; });
-    }
+    std::unique_lock<std::mutex> lock(conns_mu_);
+    drained = drained_cv_.wait_for(lock, std::chrono::seconds(2),
+                                   [this] { return conns_.empty(); });
   }
+  if (!drained) ForceCloseAll();
+  // 3. Wake and join every executor: nothing of the server runs past here.
   loop_->Stop();
-  loop_thread_.join();
+  for (std::thread& t : executors_) t.join();
+  executors_.clear();
   loop_.reset();
   // 4. Tear down surviving wire sessions (client never sent BYE), folding
   //    their tracking stats exactly like a BYE would.
@@ -161,131 +159,125 @@ int64_t NetProxyServer::open_sessions() const {
   return static_cast<int64_t>(sessions_.size());
 }
 
-// --- loop thread ------------------------------------------------------------
+// --- executor threads: transport -------------------------------------------
+
+void NetProxyServer::OnEvent(uint64_t token, const PollEvents& ev) {
+  if (token == kListenerToken) {
+    OnListenerReadable();
+  } else {
+    OnConnEvent(static_cast<int64_t>(token), ev);
+  }
+}
 
 void NetProxyServer::OnListenerReadable() {
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  if (!listener_.valid()) return;  // Stop() closed it
   for (;;) {
+    // EAGAIN ends the burst; other accept errors are transient and retried
+    // on the next event.
     int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      return;  // transient accept errors: try again on the next event
-    }
-    if (!accepting_) {
-      ::close(fd);
-      continue;
-    }
+    if (fd < 0) break;
     Fd conn_fd(fd);
     if (!SetNonBlocking(fd).ok()) continue;  // conn_fd closes it
     (void)SetNoDelay(fd);
 
-    auto conn = std::make_unique<Conn>(opts_.max_frame_bytes);
+    auto conn = std::make_shared<Conn>(opts_.max_frame_bytes);
     conn->id = next_conn_id_++;
     conn->fd = std::move(conn_fd);
     conn->last_activity_ms = NowMs();
-    int64_t id = conn->id;
-    Status s = loop_->Register(
-        conn->fd.get(), /*want_read=*/true, /*want_write=*/false,
-        [this, id](const PollEvents& ev) { OnConnEvent(id, ev); });
-    if (!s.ok()) continue;
-    conns_.emplace(id, std::move(conn));
+    {
+      std::lock_guard<std::mutex> table(conns_mu_);
+      conns_.emplace(conn->id, conn);
+    }
     counters_->connections_accepted.fetch_add(1);
     obs::Count(obs::Metrics::Get().net_connections_accepted);
     obs::MetricsRegistry::Default().AddGauge(
         obs::Metrics::Get().net_connections_active, 1);
+    // Armed last: from here on another executor may take its first event.
+    if (!loop_->Add(conn->fd.get(), static_cast<uint64_t>(conn->id),
+                    /*want_read=*/true, /*want_write=*/false)
+             .ok()) {
+      std::lock_guard<std::mutex> conn_lock(conn->mu);
+      CloseConn(*conn, CloseWhy::kReset);
+    }
   }
+  (void)loop_->Rearm(listener_.get(), kListenerToken, /*want_read=*/true,
+                     /*want_write=*/false);
 }
 
 void NetProxyServer::OnConnEvent(int64_t conn_id, const PollEvents& ev) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  Conn& c = *it->second;
-  if (ev.error) {
+  std::shared_ptr<Conn> conn = FindConn(conn_id);
+  if (!conn) return;  // closed while this event was in flight
+  Conn& c = *conn;
+  std::lock_guard<std::mutex> lock(c.mu);
+  if (!c.fd.valid()) return;
+  if (ev.error) return CloseConn(c, CloseWhy::kReset);
+  if (ev.writable && !FlushConn(c)) return;
+  if (!ServeFrames(c)) return;
+  if (c.draining && c.outbox.empty()) return CloseConn(c, CloseWhy::kClean);
+  if (!loop_->Rearm(c.fd.get(), static_cast<uint64_t>(c.id), c.reading,
+                    /*want_write=*/!c.outbox.empty())
+           .ok()) {
     CloseConn(c, CloseWhy::kReset);
-    return;
   }
-  if (ev.writable) {
-    FlushConn(c);
-    // FlushConn may close the conn (write error or drain completion).
-    if (conns_.find(conn_id) == conns_.end()) return;
-  }
-  if (ev.readable && c.reading) ReadFromConn(c);
 }
 
-void NetProxyServer::ReadFromConn(Conn& c) {
-  const int64_t id = c.id;  // c dies if DispatchFrames closes the conn
+bool NetProxyServer::ServeFrames(Conn& c) {
   char buf[16 * 1024];
-  for (;;) {
-    IoResult r = ReadSome(c.fd.get(), buf, sizeof buf);
-    if (r.state == IoState::kOk) {
-      c.last_activity_ms = NowMs();
-      counters_->bytes_in.fetch_add(static_cast<int64_t>(r.bytes));
-      obs::Count(obs::Metrics::Get().net_bytes_in,
-                 static_cast<int64_t>(r.bytes));
-      c.decoder.Feed(std::string_view(buf, r.bytes));
-      DispatchFrames(c);
-      // DispatchFrames may have closed the conn (protocol error) or
-      // backpressured it; stop pulling bytes either way.
-      if (conns_.find(id) == conns_.end() || !c.reading) return;
-      if (r.bytes < sizeof buf) return;  // likely drained the socket
-      continue;
+  bool socket_drained = false;  // the last read came back short
+  while (c.reading) {
+    if (!accepting_work_.load()) {
+      // Stop() has begun: take no more frames, and stop reading so the fd
+      // is not re-armed for bytes nobody will take.
+      c.draining = true;
+      c.reading = false;
+      return true;
     }
-    if (r.state == IoState::kWouldBlock) return;
-    // EOF or error: the peer is gone. In-flight work finishes and its
-    // reply is dropped at completion; the wire session itself survives
-    // for a reconnecting client.
-    CloseConn(c, CloseWhy::kReset);
-    return;
-  }
-}
-
-void NetProxyServer::DispatchFrames(Conn& c) {
-  for (;;) {
     std::string payload;
     auto popped = c.decoder.Next(&payload);
     if (!popped.ok()) {
       counters_->protocol_errors.fetch_add(1);
       obs::Count(obs::Metrics::Get().net_protocol_errors);
       CloseConn(c, CloseWhy::kProtocol);
-      return;
+      return false;
     }
-    if (!*popped) return;
-    counters_->frames_in.fetch_add(1);
-    obs::Count(obs::Metrics::Get().net_frames_in);
-    if (c.busy) {
-      c.pending.push_back(std::move(payload));
-    } else {
-      StartRequest(c, std::move(payload));
+    if (*popped) {
+      if (!ServeFrame(c, payload)) return false;
+      continue;
     }
+    // No complete frame buffered. A short read most likely emptied the
+    // socket; bytes that arrive after it fire the re-armed fd.
+    if (socket_drained) return true;
+    IoResult r = ReadSome(c.fd.get(), buf, sizeof buf);
+    if (r.state == IoState::kWouldBlock) return true;
+    if (r.state != IoState::kOk) {
+      // EOF right after this connection's own BYE is a clean exit. Any
+      // other EOF or error: the peer is gone, and its wire session survives
+      // for a reconnecting client.
+      CloseConn(c, r.state == IoState::kEof && c.said_bye ? CloseWhy::kClean
+                                                          : CloseWhy::kReset);
+      return false;
+    }
+    c.last_activity_ms = NowMs();
+    counters_->bytes_in.fetch_add(static_cast<int64_t>(r.bytes));
+    obs::Count(obs::Metrics::Get().net_bytes_in, static_cast<int64_t>(r.bytes));
+    c.decoder.Feed(std::string_view(buf, r.bytes));
+    socket_drained = r.bytes < sizeof buf;
   }
+  return true;
 }
 
-void NetProxyServer::StartRequest(Conn& c, std::string payload) {
-  if (!accepting_work_) return;  // shutting down: drop late requests
-  c.busy = true;
-  c.req_start_ms = NowMsF();
-  int64_t conn_id = c.id;
-  // The payload moves to the executor; the reply frame moves back through
-  // Post. Conn state is only ever touched on the loop thread.
-  pool_->Submit([this, conn_id, payload = std::move(payload)]() mutable {
-    std::string reply = EncodeFrame(HandleRequest(payload));
-    loop_->Post([this, conn_id, reply = std::move(reply)]() mutable {
-      CompleteRequest(conn_id, std::move(reply));
-    });
-  });
-}
-
-void NetProxyServer::CompleteRequest(int64_t conn_id, std::string reply_frame) {
+bool NetProxyServer::ServeFrame(Conn& c, std::string_view payload) {
+  counters_->frames_in.fetch_add(1);
+  obs::Count(obs::Metrics::Get().net_frames_in);
+  const double start_ms = NowMsF();
+  std::string reply = EncodeFrame(HandleRequest(payload, &c.said_bye));
   counters_->requests_served.fetch_add(1);
   obs::Count(obs::Metrics::Get().net_requests);
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;  // conn died mid-request: drop the reply
-  Conn& c = *it->second;
-  obs::Observe(obs::Metrics::Get().net_frame_latency,
-               NowMsF() - c.req_start_ms);
-  c.busy = false;
+  obs::Observe(obs::Metrics::Get().net_frame_latency, NowMsF() - start_ms);
   c.last_activity_ms = NowMs();
-  c.outbox_bytes += reply_frame.size();
-  c.outbox.push_back(std::move(reply_frame));
+  c.outbox_bytes += reply.size();
+  c.outbox.push_back(std::move(reply));
   counters_->frames_out.fetch_add(1);
   obs::Count(obs::Metrics::Get().net_frames_out);
 
@@ -296,16 +288,10 @@ void NetProxyServer::CompleteRequest(int64_t conn_id, std::string reply_frame) {
     counters_->backpressure_stalls.fetch_add(1);
     obs::Count(obs::Metrics::Get().net_backpressure_stalls);
   }
-  if (!c.pending.empty()) {
-    std::string next = std::move(c.pending.front());
-    c.pending.pop_front();
-    StartRequest(c, std::move(next));
-  }
-  FlushConn(c);
+  return FlushConn(c);
 }
 
-void NetProxyServer::FlushConn(Conn& c) {
-  const int64_t id = c.id;  // c dies if a nested call closes the conn
+bool NetProxyServer::FlushConn(Conn& c) {
   while (!c.outbox.empty()) {
     const std::string& front = c.outbox.front();
     IoResult r = WriteSome(c.fd.get(), front.data() + c.write_off,
@@ -324,34 +310,22 @@ void NetProxyServer::FlushConn(Conn& c) {
     }
     if (r.state == IoState::kWouldBlock) break;
     CloseConn(c, CloseWhy::kReset);
-    return;
+    return false;
   }
-  obs::MetricsRegistry::Default().SetGauge(obs::Metrics::Get().net_outbox_bytes,
-                                           static_cast<int64_t>(c.outbox_bytes));
-  if (!c.reading && c.outbox_bytes <= opts_.outbox_low_watermark && !c.draining) {
-    c.reading = true;
-    // Re-run the decoder: frames may already be buffered, and the socket
-    // may have readable bytes we stopped pulling.
-    DispatchFrames(c);
-    if (conns_.find(id) == conns_.end()) return;
-    if (c.reading) ReadFromConn(c);
-    if (conns_.find(id) == conns_.end()) return;
+  // The gauge sums what stays queued after a write attempt, so a reply
+  // written whole never touches it.
+  if (c.gauged_bytes != c.outbox_bytes) {
+    obs::MetricsRegistry::Default().AddGauge(
+        obs::Metrics::Get().net_outbox_bytes,
+        static_cast<int64_t>(c.outbox_bytes) -
+            static_cast<int64_t>(c.gauged_bytes));
+    c.gauged_bytes = c.outbox_bytes;
   }
-  if (c.outbox.empty() && c.draining && !c.busy) {
-    CloseConn(c, CloseWhy::kDrain);
-    return;
+  if (!c.reading && !c.draining &&
+      c.outbox_bytes <= opts_.outbox_low_watermark) {
+    c.reading = true;  // the serving loop takes frames again
   }
-  UpdateInterest(c);
-}
-
-void NetProxyServer::UpdateInterest(Conn& c) {
-  bool want_write = !c.outbox.empty();
-  if (want_write != c.want_write) {
-    c.want_write = want_write;
-    (void)loop_->SetInterest(c.fd.get(), c.reading, want_write);
-  } else {
-    (void)loop_->SetInterest(c.fd.get(), c.reading, c.want_write);
-  }
+  return true;
 }
 
 void NetProxyServer::CloseConn(Conn& c, CloseWhy why) {
@@ -369,73 +343,84 @@ void NetProxyServer::CloseConn(Conn& c, CloseWhy why) {
       obs::EventJournal::Default().Append(
           obs::event::kNetSessionReset, {{"conn", std::to_string(c.id)}});
       break;
-    case CloseWhy::kDrain:
+    case CloseWhy::kClean:
       break;
   }
   counters_->connections_closed.fetch_add(1);
   obs::MetricsRegistry::Default().AddGauge(
       obs::Metrics::Get().net_connections_active, -1);
-  loop_->Unregister(c.fd.get());
-  int64_t id = c.id;
-  conns_.erase(id);  // destroys c — do not touch it past this line
-  if (drain_requested_ && conns_.empty()) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_done_ = true;
-    drain_cv_.notify_all();
+  if (c.gauged_bytes != 0) {
+    obs::MetricsRegistry::Default().AddGauge(
+        obs::Metrics::Get().net_outbox_bytes,
+        -static_cast<int64_t>(c.gauged_bytes));
+    c.gauged_bytes = 0;
   }
+  loop_->Remove(c.fd.get());
+  c.fd.reset();
+  std::lock_guard<std::mutex> table(conns_mu_);
+  conns_.erase(c.id);
+  if (conns_.empty()) drained_cv_.notify_all();
 }
 
 void NetProxyServer::SweepIdle() {
-  if (opts_.idle_timeout_seconds <= 0) return;
   const int64_t now = NowMs();
   const int64_t limit_ms =
       static_cast<int64_t>(opts_.idle_timeout_seconds * 1000.0);
-  std::vector<int64_t> victims;
-  for (const auto& [id, conn] : conns_) {
-    if (!conn->busy && conn->outbox.empty() &&
-        now - conn->last_activity_ms >= limit_ms) {
-      victims.push_back(id);
+  for (const std::shared_ptr<Conn>& conn : SnapshotConns()) {
+    // A connection being served is not idle.
+    std::unique_lock<std::mutex> lock(conn->mu, std::try_to_lock);
+    if (!lock.owns_lock() || !conn->fd.valid()) continue;
+    if (conn->outbox.empty() && now - conn->last_activity_ms >= limit_ms) {
+      CloseConn(*conn, CloseWhy::kIdle);
     }
-  }
-  for (int64_t id : victims) {
-    auto it = conns_.find(id);
-    if (it != conns_.end()) CloseConn(*it->second, CloseWhy::kIdle);
   }
 }
 
+std::shared_ptr<NetProxyServer::Conn> NetProxyServer::FindConn(
+    int64_t id) const {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  auto it = conns_.find(id);
+  return it == conns_.end() ? nullptr : it->second;
+}
+
+std::vector<std::shared_ptr<NetProxyServer::Conn>>
+NetProxyServer::SnapshotConns() const {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  std::vector<std::shared_ptr<Conn>> out;
+  out.reserve(conns_.size());
+  for (const auto& [id, conn] : conns_) out.push_back(conn);
+  return out;
+}
+
+// --- Stop() -----------------------------------------------------------------
+
 void NetProxyServer::StopAccepting() {
-  if (!accepting_) return;
-  accepting_ = false;
-  loop_->Unregister(listener_.get());
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  if (!listener_.valid()) return;
+  loop_->Remove(listener_.get());
   listener_.reset();
 }
 
 void NetProxyServer::BeginDrain() {
-  drain_requested_ = true;
-  std::vector<int64_t> closable;
-  for (auto& [id, conn] : conns_) {
+  for (const std::shared_ptr<Conn>& conn : SnapshotConns()) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (!conn->fd.valid()) continue;
     conn->draining = true;
     conn->reading = false;
-    if (conn->outbox.empty() && !conn->busy) closable.push_back(id);
-  }
-  for (int64_t id : closable) {
-    auto it = conns_.find(id);
-    if (it != conns_.end()) CloseConn(*it->second, CloseWhy::kDrain);
-  }
-  if (conns_.empty()) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_done_ = true;
-    drain_cv_.notify_all();
+    // A non-empty outbox is flushed by the executor that takes the fd's
+    // next writable event, which then closes the connection.
+    if (conn->outbox.empty()) CloseConn(*conn, CloseWhy::kClean);
   }
 }
 
 void NetProxyServer::ForceCloseAll() {
-  while (!conns_.empty()) {
-    CloseConn(*conns_.begin()->second, CloseWhy::kReset);
+  for (const std::shared_ptr<Conn>& conn : SnapshotConns()) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->fd.valid()) CloseConn(*conn, CloseWhy::kReset);
   }
 }
 
-// --- executor threads -------------------------------------------------------
+// --- executor threads: wire sessions ----------------------------------------
 
 std::shared_ptr<NetProxyServer::ProtoSession> NetProxyServer::FindSession(
     int64_t id) const {
@@ -483,9 +468,11 @@ void NetProxyServer::DestroySession(int64_t id) {
       obs::Metrics::Get().net_sessions_active, -1);
 }
 
-std::string NetProxyServer::HandleRequest(std::string_view payload) {
+std::string NetProxyServer::HandleRequest(std::string_view payload,
+                                          bool* bye) {
   WireResponse resp;
   auto req = DecodeRequest(payload);
+  *bye = req.ok() && req->kind == WireRequest::Kind::kDisconnect;
   if (!req.ok()) {
     counters_->protocol_errors.fetch_add(1);
     obs::Count(obs::Metrics::Get().net_protocol_errors);

@@ -1,17 +1,27 @@
 // NetProxyServer — the server-side proxy of paper Fig. 2 on a real TCP
 // socket instead of the in-process loopback.
 //
-// Threading model (three kinds of threads, one rule each):
-//   - ONE event-loop thread owns every socket, every Conn (frame decoder,
-//     outbox, backpressure flags). Nothing else touches them.
-//   - A util::ThreadPool executes decoded requests (SQL through the
-//     per-session TrackingProxy / DirectConnection), so a slow statement
-//     never blocks accepts, reads, or writes. Completions are handed back
-//     to the loop thread via EventLoop::Post.
+// Threading model (two kinds of threads, one rule each):
+//   - `exec_threads` executor threads all run the EventLoop. The executor
+//     that takes a connection's one-shot readiness event owns that
+//     connection until it re-arms the fd: it reads and decodes the frames,
+//     runs each through HandleRequest (SQL through the per-session
+//     TrackingProxy / DirectConnection), writes the reply frame to the
+//     socket itself and re-arms. A statement therefore never changes
+//     threads between its request bytes and its reply bytes. Accepts and
+//     the idle sweep run on whichever executor takes them. A statement
+//     blocked in a lock wait occupies one executor; other connections keep
+//     being served by the rest.
 //   - Callers' threads only use the thread-safe surface: Start/Stop,
-//     stats(), ProxyStatsSnapshot().
+//     stats(), ProxyStatsSnapshot(). Stop() drains on its own thread.
 //
 // Shared-state locking story (audited in tests/net_test.cc):
+//   - each Conn has a mutex, held by the executor serving it (uncontended
+//     on the hot path, since the fd is one-shot). The idle sweep try_locks
+//     it (a connection being served is not idle); the drain locks it,
+//     which waits out a running statement.
+//   - conns_mu_ guards the connection table. Lock order: a Conn's mutex,
+//     then conns_mu_; never the reverse.
 //   - sessions_mu_ guards the wire-session registry (map, id counter,
 //     closed-session stats fold).
 //   - each ProtoSession has its own mutex serializing statement execution
@@ -20,7 +30,7 @@
 //     the order sessions_mu_ -> session is acyclic.
 //   - engine access is concurrent: sessions run under the engine's own
 //     lock manager and per-table latches (src/concurrency, DESIGN.md §5f),
-//     so pool threads executing statements for different wire sessions
+//     so executors running statements for different wire sessions
 //     genuinely interleave. Proxy txn ids come from the atomic
 //     TxnIdAllocator, exactly as in the in-process deployments.
 //
@@ -32,6 +42,7 @@
 // connection resets.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -40,13 +51,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
 #include "flavor/flavor_traits.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "proxy/tracking_proxy.h"
-#include "util/thread_pool.h"
 #include "wire/protocol.h"
 
 namespace irdb::net {
@@ -58,7 +69,9 @@ struct NetServerOptions {
   // (server-side tracking, Fig. 2). false: raw DbServer semantics — the
   // engine without tracking, for client-side-proxy deployments.
   bool track = true;
-  int exec_threads = 4;  // statement-execution pool (<=1 runs inline)
+  // Executor threads: each runs statements AND does the socket I/O of the
+  // connections it serves (at least 1).
+  int exec_threads = 4;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Backpressure: when a session's queued reply bytes exceed the high
   // watermark the server stops reading its socket; reading resumes once the
@@ -96,7 +109,7 @@ struct NetServerStats {
   int64_t protocol_errors = 0;     // corrupt/oversized frames, bad requests
   int64_t idle_disconnects = 0;
   int64_t backpressure_stalls = 0; // read-side pauses due to a full outbox
-  int64_t resets = 0;              // conns that died on EOF/error, not drain
+  int64_t resets = 0;  // conns that died on EOF/error, not drain or post-BYE EOF
 };
 
 class NetProxyServer {
@@ -108,12 +121,13 @@ class NetProxyServer {
   NetProxyServer(const NetProxyServer&) = delete;
   NetProxyServer& operator=(const NetProxyServer&) = delete;
 
-  // Binds, starts the loop thread and executor pool. Idempotence: second
-  // Start without Stop is an error.
+  // Binds and starts the executor threads. Idempotence: second Start
+  // without Stop is an error.
   Status Start();
 
   // Clean shutdown: stop accepting, wait for in-flight statements, drain
-  // outboxes (bounded), close everything, fold session stats.
+  // outboxes (bounded), close everything, join every executor, fold session
+  // stats. No server thread runs after it returns.
   void Stop();
 
   // The actually-bound port (after Start with opts.port == 0).
@@ -133,21 +147,21 @@ class NetProxyServer {
   Database* db() { return db_; }
 
  private:
-  // Loop-thread-owned per-TCP-connection state.
+  // Per-TCP-connection state, guarded by mu. The executor that takes the
+  // fd's event holds mu until it re-arms the fd.
   struct Conn {
+    std::mutex mu;
     int64_t id = 0;
-    Fd fd;
+    Fd fd;                      // reset when closed: later events are dropped
     FrameDecoder decoder;
     std::deque<std::string> outbox;  // encoded frames awaiting write
     size_t outbox_bytes = 0;
     size_t write_off = 0;       // bytes of outbox.front() already written
-    bool want_write = false;    // current poller interest
-    bool reading = true;        // false while backpressured
-    bool busy = false;          // a request is executing on the pool
-    std::deque<std::string> pending;  // frames decoded while busy
+    size_t gauged_bytes = 0;    // this conn's share of irdb_net_outbox_bytes
+    bool reading = true;        // false while backpressured or draining
     bool draining = false;      // close as soon as the outbox empties
+    bool said_bye = false;      // the last request served was a BYE
     int64_t last_activity_ms = 0;
-    double req_start_ms = 0;    // latency clock for the in-flight request
 
     explicit Conn(size_t max_frame) : decoder(max_frame) {}
   };
@@ -166,54 +180,50 @@ class NetProxyServer {
     }
   };
 
-  enum class CloseWhy { kDrain, kIdle, kReset, kProtocol };
+  // kClean: drained at Stop, or EOF after the connection's own BYE.
+  enum class CloseWhy { kClean, kIdle, kReset, kProtocol };
 
-  // --- loop thread only ---
+  // --- executor threads (the connection's mutex held where it takes one) ---
+  void OnEvent(uint64_t token, const PollEvents& ev);
   void OnListenerReadable();
   void OnConnEvent(int64_t conn_id, const PollEvents& ev);
-  void ReadFromConn(Conn& c);
-  void DispatchFrames(Conn& c);
-  void StartRequest(Conn& c, std::string payload);
-  void CompleteRequest(int64_t conn_id, std::string reply_frame);
-  void FlushConn(Conn& c);
-  void UpdateInterest(Conn& c);
+  bool ServeFrames(Conn& c);
+  bool ServeFrame(Conn& c, std::string_view payload);
+  bool FlushConn(Conn& c);
   void CloseConn(Conn& c, CloseWhy why);
   void SweepIdle();
+  std::string HandleRequest(std::string_view payload, bool* bye);
+  std::shared_ptr<ProtoSession> FindSession(int64_t id) const;
+  int64_t CreateSession();
+  void DestroySession(int64_t id);
+
+  // --- Stop() ---
   void StopAccepting();
   void BeginDrain();
   void ForceCloseAll();
 
-  // --- executor threads (pool) ---
-  std::string HandleRequest(std::string_view payload);
-  std::shared_ptr<ProtoSession> FindSession(int64_t id) const;
-  int64_t CreateSession();
-  void DestroySession(int64_t id);
+  std::shared_ptr<Conn> FindConn(int64_t id) const;
+  std::vector<std::shared_ptr<Conn>> SnapshotConns() const;
 
   Database* db_;
   proxy::TxnIdAllocator* alloc_;
   NetServerOptions opts_;
 
   std::unique_ptr<EventLoop> loop_;
-  std::thread loop_thread_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  Fd listener_;
   uint16_t port_ = 0;
   bool running_ = false;
+  // Flipped by Stop() before the drain: executors take no frame after it.
+  std::atomic<bool> accepting_work_{true};
 
-  // Loop-thread-owned connection table.
-  std::map<int64_t, std::unique_ptr<Conn>> conns_;
-  int64_t next_conn_id_ = 1;
-  bool accepting_ = false;
-  // Loop-thread-only gate: flipped (on the loop thread) before Stop() joins
-  // the executor pool, so no Submit can race the pool teardown.
-  bool accepting_work_ = true;
+  // The listening socket (token kListenerToken); closed by Stop().
+  std::mutex listener_mu_;
+  Fd listener_;
+  int64_t next_conn_id_ = 1;  // under listener_mu_
 
-  // Drain rendezvous for Stop(): set on the loop thread when the last conn
-  // closes after BeginDrain.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  bool drain_requested_ = false;  // loop thread reads, Stop() sets via Post
-  bool drain_done_ = false;
+  // The connection table. Stop() waits on drained_cv_ for it to empty.
+  mutable std::mutex conns_mu_;
+  std::condition_variable drained_cv_;
+  std::map<int64_t, std::shared_ptr<Conn>> conns_;
 
   // Wire-session registry (executor threads + snapshots).
   mutable std::mutex sessions_mu_;
@@ -224,6 +234,9 @@ class NetProxyServer {
   // Transport counters (atomics; snapshot via stats()).
   struct Counters;
   std::unique_ptr<Counters> counters_;
+
+  // Declared last: they run the loop over everything above.
+  std::vector<std::thread> executors_;
 };
 
 }  // namespace irdb::net

@@ -241,16 +241,17 @@ const Metrics& Metrics::Get() {
         "Bytes written to client sockets", "bytes");
     m->net_requests = r.RegisterCounter(
         "irdb_net_requests_total",
-        "Requests executed to completion by the executor pool (after a "
+        "Requests executed to completion by the executor threads (after a "
         "clean drain, equals both frame counters)");
     m->net_frame_latency = r.RegisterHistogram(
         "irdb_net_frame_latency_ms",
-        "Frame service latency: request dispatched to the executor until "
+        "Frame service latency: request frame decoded by the executor until "
         "its reply frame is enqueued");
     m->net_outbox_bytes = r.RegisterGauge(
         "irdb_net_outbox_bytes",
-        "Queued reply bytes of the most recently flushed connection "
-        "(backpressure watermark input)", "bytes");
+        "Reply bytes queued across all connections: what a socket write "
+        "left unsent, until it drains or its connection closes",
+        "bytes");
     m->net_backpressure_stalls = r.RegisterCounter(
         "irdb_net_backpressure_stalls_total",
         "Read-side pauses because a connection's outbox crossed the high "
@@ -263,8 +264,9 @@ const Metrics& Metrics::Get() {
         "Corrupt/oversized frames and undecodable requests");
     m->net_session_resets = r.RegisterCounter(
         "irdb_net_session_resets_total",
-        "Connections that died on EOF/error or a poisoned frame stream "
-        "(their wire sessions survive for reconnects)");
+        "Connections that died on a socket error, a poisoned frame stream, "
+        "or EOF not preceded by their own BYE (their wire sessions survive "
+        "for reconnects)");
 
     m->router_stmts_routed = r.RegisterCounter(
         "irdb_router_stmts_routed_total",
@@ -422,9 +424,9 @@ const std::vector<EventDoc>& EventCatalog() {
        "An online repair released a healed table's slices; remaining is the "
        "quarantine's slice count after the release."},
       {event::kNetSessionReset, "conn",
-       "A TCP connection died on EOF, a socket error, or a poisoned frame "
-       "stream. Its wire session (and any open transaction) survives for a "
-       "reconnecting client."},
+       "A TCP connection died on a socket error, a poisoned frame stream, or "
+       "EOF not preceded by its own BYE. Its wire session (and any open "
+       "transaction) survives for a reconnecting client."},
       {event::kNetIdleDisconnect, "conn",
        "The idle-timeout sweep closed a quiet TCP connection."},
       {event::kShardRepairDone, "shards, guilty, closure, rounds, undone",

@@ -7,8 +7,11 @@
 // Labelled `net` in ctest; tools/run_chaos.sh also runs this binary under
 // TSan, which is what audits the server's locking story.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
@@ -282,6 +285,7 @@ TEST(NetServerTest, ConnectExecByeOverRealSocket) {
   EXPECT_EQ(s.frames_in, s.frames_out);
   EXPECT_EQ(s.frames_in, s.requests_served);
   EXPECT_EQ(s.protocol_errors, 0);
+  EXPECT_EQ(s.resets, 0);
 }
 
 TEST(NetServerTest, PollFallbackServesTraffic) {
@@ -449,6 +453,283 @@ TEST(NetServerTest, BackpressureWatermarksStallAndResumeReads) {
   EXPECT_EQ(s.frames_out, kBurst);
   EXPECT_EQ(s.requests_served, kBurst);
 }
+
+// Reads n whole reply frames from a blocking socket; `dec` keeps any bytes
+// of later frames for the next call.
+std::vector<WireResponse> ReadReplies(int fd, FrameDecoder* dec, size_t n) {
+  std::vector<WireResponse> out;
+  char buf[16 * 1024];
+  while (out.size() < n) {
+    std::string payload;
+    auto popped = dec->Next(&payload);
+    if (!popped.ok()) {
+      ADD_FAILURE() << popped.status().ToString();
+      break;
+    }
+    if (*popped) {
+      auto resp = DecodeResponse(payload);
+      if (!resp.ok()) {
+        ADD_FAILURE() << resp.status().ToString();
+        break;
+      }
+      out.push_back(std::move(resp).value());
+      continue;
+    }
+    net::IoResult r = net::ReadSome(fd, buf, sizeof buf);
+    if (r.state != net::IoState::kOk) {
+      ADD_FAILURE() << "server closed the socket after " << out.size()
+                    << " of " << n << " replies";
+      break;
+    }
+    dec->Feed(std::string_view(buf, r.bytes));
+  }
+  return out;
+}
+
+std::string ExecFrame(int64_t session, const std::string& sql) {
+  WireRequest req;
+  req.kind = WireRequest::Kind::kExec;
+  req.session = session;
+  req.sql = sql;
+  return EncodeFrame(EncodeRequest(req));
+}
+
+void WriteAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    net::IoResult w = net::WriteSome(fd, bytes.data() + off, bytes.size() - off);
+    ASSERT_EQ(w.state, net::IoState::kOk);
+    off += w.bytes;
+  }
+}
+
+// A raw client with a small receive buffer, so replies it does not read
+// overflow the kernel's socket buffers and stay queued in the server.
+struct StalledClient {
+  net::Fd fd;
+  FrameDecoder dec;
+  int64_t session = -1;
+
+  void Connect(uint16_t port) {
+    fd = net::Fd(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_TRUE(fd.valid());
+    const int rcvbuf = 4096;
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                           sizeof rcvbuf),
+              0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    WriteAll(fd.get(), EncodeFrame("CONNECT\n"));
+    std::vector<WireResponse> hello = ReadReplies(fd.get(), &dec, 1);
+    ASSERT_EQ(hello.size(), 1u);
+    session = hello[0].session;
+  }
+};
+
+TEST(NetServerTest, OutboxGaugeSumsQueuedReplyBytes) {
+  const obs::Metrics& m = obs::Metrics::Get();
+  const int64_t gauge_before = obs::CounterValue(m.net_outbox_bytes);
+  auto queued = [&] {
+    return obs::CounterValue(m.net_outbox_bytes) - gauge_before;
+  };
+  Database db(FlavorTraits::Postgres());
+  {
+    DirectConnection setup(&db);
+    Must(&setup, "CREATE TABLE wide (k INTEGER, pad VARCHAR(255))");
+    const std::string pad(200, 'x');
+    for (int i = 0; i < 500; ++i) {
+      Must(&setup, "INSERT INTO wide VALUES (" + std::to_string(i) + ", '" +
+                       pad + "')");
+    }
+  }
+  NetServerOptions opts;
+  opts.track = false;
+  NetProxyServer server(&db, nullptr, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Two clients pipeline ~8 MiB of ~100 KiB replies each and stop reading:
+  // each connection stalls with bytes queued past its kernel buffers.
+  constexpr int kSelects = 80;
+  StalledClient x, y;
+  ASSERT_NO_FATAL_FAILURE(x.Connect(server.port()));
+  ASSERT_NO_FATAL_FAILURE(y.Connect(server.port()));
+  for (StalledClient* c : {&x, &y}) {
+    std::string burst;
+    for (int i = 0; i < kSelects; ++i) {
+      burst += ExecFrame(c->session, "SELECT k, pad FROM wide");
+    }
+    WriteAll(c->fd.get(), burst);
+  }
+  for (int i = 0; i < 500 && server.stats().backpressure_stalls < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(server.stats().backpressure_stalls, 2);
+  EXPECT_GT(queued(), 0);
+
+  // Once x drains, the gauge still holds y's backlog: it sums connections
+  // instead of reporting whichever connection flushed last.
+  std::vector<WireResponse> replies = ReadReplies(x.fd.get(), &x.dec, kSelects);
+  ASSERT_EQ(replies.size(), static_cast<size_t>(kSelects));
+  for (const WireResponse& r : replies) EXPECT_EQ(r.result.rows.size(), 500u);
+  EXPECT_GT(queued(), 0);
+
+  EXPECT_EQ(ReadReplies(y.fd.get(), &y.dec, kSelects).size(),
+            static_cast<size_t>(kSelects));
+  x.fd.reset();
+  y.fd.reset();
+  server.Stop();
+  EXPECT_EQ(queued(), 0);
+}
+
+// --------------------------------------------------------------------------
+// Executors own the connections they serve: a statement's frame is read,
+// run and answered on one thread. Each case runs under both pollers.
+
+class NetHandoffTest : public ::testing::TestWithParam<bool> {
+ protected:
+  NetServerOptions Options() const {
+    NetServerOptions opts;
+    opts.force_poll = GetParam();
+    return opts;
+  }
+};
+
+TEST_P(NetHandoffTest, LockWaitOnOneConnectionDoesNotStallOthers) {
+  Database db(FlavorTraits::Postgres());
+  proxy::TxnIdAllocator alloc;
+  NetServerOptions opts = Options();
+  opts.exec_threads = 2;
+  NetProxyServer server(&db, &alloc, opts);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.Bootstrap().ok());
+
+  TcpChannelOptions copts;
+  copts.port = server.port();
+  auto a = net::NetClient::Dial(copts);
+  auto b = net::NetClient::Dial(copts);
+  auto c = net::NetClient::Dial(copts);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  DbConnection& ca = (*a)->connection();
+  DbConnection& cb = (*b)->connection();
+  DbConnection& cc = (*c)->connection();
+  Must(&ca, "CREATE TABLE acct (id INTEGER, bal INTEGER, PRIMARY KEY(id))");
+  Must(&ca, "INSERT INTO acct VALUES (1, 100)");
+  Must(&cc, "CREATE TABLE side (k INTEGER)");
+
+  // A holds row 1's X lock in an open transaction.
+  Must(&ca, "BEGIN");
+  Must(&ca, "UPDATE acct SET bal = bal + 1 WHERE id = 1");
+
+  // B's UPDATE of the same row parks in a lock wait, occupying one of the
+  // two executors.
+  const obs::Metrics& m = obs::Metrics::Get();
+  const int64_t waits_before = obs::CounterValue(m.engine_lock_waits);
+  Must(&cb, "BEGIN");
+  std::atomic<bool> b_updated{false};
+  std::thread b_thread([&] {
+    Must(&cb, "UPDATE acct SET bal = bal + 10 WHERE id = 1");
+    b_updated = true;
+  });
+  for (int i = 0; i < 500 && obs::CounterValue(m.engine_lock_waits) ==
+                                 waits_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(obs::CounterValue(m.engine_lock_waits), waits_before);
+
+  // C is answered by the other executor while B waits.
+  for (int i = 0; i < 20; ++i) {
+    Must(&cc, "INSERT INTO side VALUES (" + std::to_string(i) + ")");
+  }
+  EXPECT_EQ(Must(&cc, "SELECT k FROM side").rows.size(), 20u);
+  EXPECT_FALSE(b_updated.load());
+
+  // A's COMMIT releases B, which commits.
+  Must(&ca, "COMMIT");
+  b_thread.join();
+  EXPECT_TRUE(b_updated.load());
+  Must(&cb, "COMMIT");
+  ResultSet rs = Must(&cc, "SELECT bal FROM acct WHERE id = 1");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0][0].as_int(), 111);
+
+  a->reset();
+  b->reset();
+  c->reset();
+  server.Stop();
+  NetServerStats s = server.stats();
+  EXPECT_GT(s.frames_in, 0);
+  EXPECT_EQ(s.frames_in, s.frames_out);
+  EXPECT_EQ(s.frames_in, s.requests_served);
+}
+
+TEST_P(NetHandoffTest, PipelinedRequestsAnsweredInOrder) {
+  Database db(FlavorTraits::Postgres());
+  constexpr int kFrames = 24;
+  {
+    DirectConnection setup(&db);
+    Must(&setup, "CREATE TABLE pipe_t (a INTEGER)");
+    for (int i = 0; i < kFrames; ++i) {
+      Must(&setup, "INSERT INTO pipe_t VALUES (" + std::to_string(i) + ")");
+    }
+  }
+  NetServerOptions opts = Options();
+  opts.track = false;
+  NetProxyServer server(&db, nullptr, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto fd = net::ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok());
+  FrameDecoder dec;
+  WriteAll(fd->get(), EncodeFrame("CONNECT\n"));
+  std::vector<WireResponse> hello = ReadReplies(fd->get(), &dec, 1);
+  ASSERT_EQ(hello.size(), 1u);
+  const int64_t session = hello[0].session;
+
+  // One write carries every frame; each reply names its own row.
+  std::string burst;
+  for (int i = 0; i < kFrames; ++i) {
+    burst += ExecFrame(session,
+                       "SELECT a FROM pipe_t WHERE a = " + std::to_string(i));
+  }
+  net::IoResult w = net::WriteSome(fd->get(), burst.data(), burst.size());
+  ASSERT_EQ(w.state, net::IoState::kOk);
+  ASSERT_EQ(w.bytes, burst.size());
+  std::vector<WireResponse> replies = ReadReplies(fd->get(), &dec, kFrames);
+  ASSERT_EQ(replies.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(replies[i].ok) << replies[i].error_message;
+    ASSERT_EQ(replies[i].result.rows.size(), 1u) << "reply " << i;
+    EXPECT_EQ(replies[i].result.rows[0][0].as_int(), i);
+  }
+
+  // Exactly once: the next frame is BYE's own reply, not a repeat.
+  WireRequest bye;
+  bye.kind = WireRequest::Kind::kDisconnect;
+  bye.session = session;
+  WriteAll(fd->get(), EncodeFrame(EncodeRequest(bye)));
+  std::vector<WireResponse> farewell = ReadReplies(fd->get(), &dec, 1);
+  ASSERT_EQ(farewell.size(), 1u);
+  EXPECT_TRUE(farewell[0].ok);
+  EXPECT_TRUE(farewell[0].result.rows.empty());
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+  fd->reset();
+  server.Stop();
+  NetServerStats s = server.stats();
+  EXPECT_EQ(s.frames_in, kFrames + 2);
+  EXPECT_EQ(s.frames_out, kFrames + 2);
+  EXPECT_EQ(s.requests_served, kFrames + 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pollers, NetHandoffTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "poll" : "epoll";
+                         });
 
 // --------------------------------------------------------------------------
 // Concurrency: many threads x many connections, tracking completeness, and

@@ -18,7 +18,8 @@
 # while commits append to it). ThreadSanitizer exits non-zero on any
 # warning, so data races in the worker pool, the WAL's segmented snapshots,
 # sharded closure, batched compensation, the shard-per-thread registry, the
-# event-loop/executor handoff, the lock manager and latch layering, the
+# executors' one-shot connection ownership (each connection's mutex, the
+# connection table, the drain at Stop), the lock manager and latch layering, the
 # online-repair quarantine gate, the storage layer's pin/evict accounting,
 # or the router tier's session/stat folding surface here rather than in
 # production.
