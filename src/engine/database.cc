@@ -478,8 +478,7 @@ void Database::PlanKeyPath(int32_t table_id, const Schema& schema,
                            concurrency::LockMode leaf,
                            std::vector<LockPlanEntry>* plan) {
   plan->push_back({concurrency::ResourceId::Table(table_id), intent});
-  RowBinding empty_binding;
-  empty_binding.traits = &traits_;
+  const RowBinding empty_binding;
   const size_t n = key_columns.size();
   StreamKeyHashes(
       schema, key_columns,
@@ -997,8 +996,7 @@ Result<ResultSet> Database::ExecInsert(Session& s, const sql::Statement& stmt) {
   }
 
   ResultSet rs;
-  RowBinding empty_binding;
-  empty_binding.traits = &traits_;
+  const RowBinding empty_binding;  // VALUES read no columns
   for (const auto& value_exprs : stmt.insert_rows) {
     if (value_exprs.size() != target_cols.size()) {
       return Status::InvalidArgument(
@@ -1057,28 +1055,30 @@ Result<ResultSet> Database::ExecUpdate(Session& s, const sql::Statement& stmt) {
     assign_cols.push_back(idx);
   }
 
-  std::vector<std::pair<const Schema*, std::string>> scope{
-      {&schema, stmt.table}};
+  // Resolve the WHERE and assignment column references once.
+  const NameScope scope{{&schema, stmt.table}};
+  ColumnBindings columns;
   if (stmt.where) {
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*stmt.where, scope, traits_));
+    IRDB_RETURN_IF_ERROR(columns.Bind(*stmt.where, scope, traits_));
   }
   for (const auto& [name, expr] : stmt.assignments) {
     (void)name;
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*expr, scope, traits_));
+    IRDB_RETURN_IF_ERROR(columns.Bind(*expr, scope, traits_));
   }
 
   // Phase 1: collect matching rows (updates do not move rows, so locations
   // collected here stay valid through phase 2).
   IRDB_ASSIGN_OR_RETURN(auto matches,
                         CollectMatching(table, table_id, stmt.table,
-                                        stmt.where.get()));
+                                        stmt.where.get(), columns));
 
   // Phase 2: evaluate assignments against the OLD row, patch, write, log.
+  LazyRow lazy(&codec);
+  RowBinding binding;
+  binding.columns = &columns;
+  binding.tables.push_back(TableBinding{&lazy, nullptr});
   for (auto& [loc, old_bytes] : matches) {
-    LazyRow lazy(&codec, old_bytes);
-    RowBinding binding;
-    binding.traits = &traits_;
-    binding.tables.push_back(TableBinding{stmt.table, &lazy, nullptr, nullptr});
+    lazy.Reset(old_bytes);
     std::vector<Value> new_values;
     new_values.reserve(stmt.assignments.size());
     for (const auto& [name, expr] : stmt.assignments) {
@@ -1109,15 +1109,15 @@ Result<ResultSet> Database::ExecDelete(Session& s, const sql::Statement& stmt) {
   IRDB_ASSIGN_OR_RETURN(HeapTable* table, RequireTable(stmt.table));
   IRDB_ASSIGN_OR_RETURN(int32_t table_id, catalog_.TableId(stmt.table));
 
+  ColumnBindings columns;
   if (stmt.where) {
-    std::vector<std::pair<const Schema*, std::string>> scope{
-        {&table->schema(), stmt.table}};
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*stmt.where, scope, traits_));
+    const NameScope scope{{&table->schema(), stmt.table}};
+    IRDB_RETURN_IF_ERROR(columns.Bind(*stmt.where, scope, traits_));
   }
 
   IRDB_ASSIGN_OR_RETURN(auto matches,
                         CollectMatching(table, table_id, stmt.table,
-                                        stmt.where.get()));
+                                        stmt.where.get(), columns));
 
   // Deletes tombstone slots in place, so pending locations stay valid in
   // any order.
@@ -1286,6 +1286,7 @@ Database::KeyValuesForRowAddresses(const std::string& table,
     }
     if (probe != nullptr) {
       obs::Count(obs::Metrics::Get().index_scans);
+      PagePins pins;
       for (int64_t addr : wanted) {
         auto coerced = schema.CoerceForColumn(static_cast<size_t>(addr_col),
                                               Value::Int(addr));
@@ -1294,7 +1295,7 @@ Database::KeyValuesForRowAddresses(const std::string& table,
         probe->LookupPrefix({*coerced}, &locs);
         for (RowLoc loc : locs) {
           std::vector<std::pair<std::string, Value>> key;
-          if (key_of(t->ReadAt(loc), &key)) {
+          if (key_of(t->ReadAt(loc, &pins), &key)) {
             out.emplace_back(addr, std::move(key));
           }
         }

@@ -297,22 +297,27 @@ class Database {
   // Aggregate-path SELECT executor (GROUP BY / aggregate functions).
   Result<ResultSet> ExecAggregateSelect(
       const sql::Statement& stmt,
-      const std::vector<std::pair<HeapTable*, std::string>>& tables);
+      const std::vector<std::pair<HeapTable*, std::string>>& tables,
+      const ColumnBindings& columns);
 
   // Recursively enumerates the (filtered) cross product of `tables`,
   // invoking `fn` with a complete RowBinding for each surviving tuple.
   // Uses primary-key index prefixes (index nested-loop join) where the WHERE
-  // clause provides equality bindings; falls back to page scans.
+  // clause provides equality bindings; falls back to page scans. `columns`
+  // binds every column reference the statement evaluates per row. Each
+  // page read is pinned once and held until the scan ends.
   Status JoinScan(
       const sql::Statement& stmt,
       const std::vector<std::pair<HeapTable*, std::string>>& tables,
+      const ColumnBindings& columns,
       const std::function<Status(const RowBinding&)>& fn);
 
   // Single-table row collection for UPDATE/DELETE: locations plus a copy of
-  // the row bytes for every row satisfying `where` (index-accelerated).
+  // the row bytes for every row satisfying `where` (index-accelerated),
+  // whose column references `columns` binds. Pins like JoinScan.
   Result<std::vector<std::pair<RowLoc, std::string>>> CollectMatching(
       HeapTable* table, int32_t table_id, const std::string& effective_name,
-      const sql::Expr* where);
+      const sql::Expr* where, const ColumnBindings& columns);
 
   FlavorTraits traits_;
   BufferPool buffer_pool_;  // declared before catalog_ (tables pin through it)

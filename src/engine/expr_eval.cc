@@ -1,5 +1,7 @@
 #include "engine/expr_eval.h"
 
+#include <algorithm>
+
 #include "util/string_utils.h"
 
 namespace irdb {
@@ -9,39 +11,68 @@ using sql::Expr;
 using sql::ExprKind;
 using sql::UnaryOp;
 
-Result<Value> RowBinding::ResolveColumn(const std::string& table,
-                                        const std::string& column) const {
-  const TableBinding* hit = nullptr;
-  int hit_col = -1;
-  bool hit_rowid = false;
-  for (const TableBinding& tb : tables) {
-    if (!table.empty() && !EqualsIgnoreCase(tb.effective_name, table)) continue;
-    int col = tb.GetSchema().FindColumn(column);
-    bool is_rowid = traits != nullptr && traits->has_rowid &&
-                    EqualsIgnoreCase(column, traits->rowid_name);
-    if (col < 0 && !is_rowid) {
-      if (!table.empty()) {
-        return Status::InvalidArgument("no column " + column + " in table " + table);
-      }
-      continue;
+namespace {
+
+std::string RefName(const Expr& ref) {
+  return ref.table.empty() ? ref.column : ref.table + "." + ref.column;
+}
+
+}  // namespace
+
+Result<BoundColumn> ResolveColumnRef(const Expr& ref, const NameScope& scope,
+                                     const FlavorTraits& traits) {
+  const bool is_rowid =
+      traits.has_rowid && EqualsIgnoreCase(ref.column, traits.rowid_name);
+  BoundColumn hit;
+  for (size_t i = 0; i < scope.size(); ++i) {
+    const auto& [schema, name] = scope[i];
+    if (!ref.table.empty() && !EqualsIgnoreCase(name, ref.table)) continue;
+    const int col = schema->FindColumn(ref.column);  // a real column wins
+    if (col < 0 && !is_rowid) continue;
+    if (hit.slot >= 0) {
+      return Status::InvalidArgument("ambiguous column " + ref.column);
     }
-    if (hit != nullptr && table.empty()) {
-      return Status::InvalidArgument("ambiguous column " + column);
-    }
-    hit = &tb;
-    hit_col = col;
-    hit_rowid = col < 0 && is_rowid;
-    if (!table.empty()) break;
+    hit = BoundColumn{static_cast<int>(i), col < 0 ? BoundColumn::kRowId : col};
+    if (!ref.table.empty()) break;
   }
-  if (hit == nullptr) {
-    return Status::InvalidArgument("unknown column " +
-                                   (table.empty() ? column : table + "." + column));
+  if (hit.slot < 0) {
+    return Status::InvalidArgument("unknown column " + RefName(ref));
   }
-  if (hit_rowid) {
-    return Value::Int(hit->row != nullptr ? hit->row->rowid() : hit->mat->rowid);
+  return hit;
+}
+
+Status ColumnBindings::Bind(const Expr& e, const NameScope& scope,
+                            const FlavorTraits& traits) {
+  std::vector<const Expr*> refs;
+  CollectColumnRefs(e, &refs);
+  for (const Expr* ref : refs) {
+    IRDB_ASSIGN_OR_RETURN(BoundColumn b, ResolveColumnRef(*ref, scope, traits));
+    refs_.emplace_back(ref, b);
   }
-  if (hit->row != nullptr) return hit->row->Get(static_cast<size_t>(hit_col));
-  return hit->mat->values[static_cast<size_t>(hit_col)];
+  std::sort(refs_.begin(), refs_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return Status::Ok();
+}
+
+const BoundColumn* ColumnBindings::Find(const Expr& ref) const {
+  auto it = std::lower_bound(
+      refs_.begin(), refs_.end(), &ref,
+      [](const auto& entry, const Expr* key) { return entry.first < key; });
+  if (it == refs_.end() || it->first != &ref) return nullptr;
+  return &it->second;
+}
+
+Result<Value> RowBinding::Column(const Expr& ref) const {
+  const BoundColumn* b = columns != nullptr ? columns->Find(ref) : nullptr;
+  if (b == nullptr) {
+    return Status::InvalidArgument("unknown column " + RefName(ref));
+  }
+  const TableBinding& tb = tables[static_cast<size_t>(b->slot)];
+  if (b->column == BoundColumn::kRowId) {
+    return Value::Int(tb.row != nullptr ? tb.row->rowid() : tb.mat->rowid);
+  }
+  if (tb.row != nullptr) return tb.row->Get(static_cast<size_t>(b->column));
+  return tb.mat->values[static_cast<size_t>(b->column)];
 }
 
 void CollectColumnRefs(const Expr& e, std::vector<const Expr*>* out) {
@@ -51,33 +82,6 @@ void CollectColumnRefs(const Expr& e, std::vector<const Expr*>* out) {
   if (e.low) CollectColumnRefs(*e.low, out);
   if (e.high) CollectColumnRefs(*e.high, out);
   for (const auto& item : e.list) CollectColumnRefs(*item, out);
-}
-
-Status ValidateColumnRefs(
-    const Expr& e,
-    const std::vector<std::pair<const Schema*, std::string>>& scope,
-    const FlavorTraits& traits) {
-  std::vector<const Expr*> refs;
-  CollectColumnRefs(e, &refs);
-  for (const Expr* ref : refs) {
-    int hits = 0;
-    for (const auto& [schema, name] : scope) {
-      if (!ref->table.empty() && !EqualsIgnoreCase(name, ref->table)) continue;
-      bool has = schema->FindColumn(ref->column) >= 0 ||
-                 (traits.has_rowid &&
-                  EqualsIgnoreCase(ref->column, traits.rowid_name));
-      if (has) ++hits;
-    }
-    if (hits == 0) {
-      return Status::InvalidArgument(
-          "unknown column " +
-          (ref->table.empty() ? ref->column : ref->table + "." + ref->column));
-    }
-    if (hits > 1 && ref->table.empty()) {
-      return Status::InvalidArgument("ambiguous column " + ref->column);
-    }
-  }
-  return Status::Ok();
 }
 
 Result<bool> IsTruthy(const Value& v) {
@@ -199,7 +203,7 @@ Result<Value> Eval(const Expr& e, const RowBinding& binding) {
     case ExprKind::kLiteral:
       return e.literal;
     case ExprKind::kColumnRef:
-      return binding.ResolveColumn(e.table, e.column);
+      return binding.Column(e);
     case ExprKind::kBinary: {
       switch (e.bin_op) {
         case BinaryOp::kAnd:

@@ -1,12 +1,16 @@
 // Expression evaluation over (possibly joined) rows.
 //
 // LazyRow decodes columns on demand so WHERE predicates over wide TPC-C rows
-// only pay for the columns they touch.
+// only pay for the columns they touch. Column references are resolved to
+// (FROM slot, column) once per statement (ColumnBindings); rows are then
+// evaluated by slot.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flavor/flavor_traits.h"
@@ -17,21 +21,28 @@
 namespace irdb {
 
 // A row whose columns are decoded lazily from the page bytes.
-// Does not own `bytes`; valid only while the underlying page is unchanged.
+// Does not own its bytes; valid only while the underlying page is unchanged.
 class LazyRow {
  public:
-  LazyRow() = default;
-  LazyRow(const RowCodec* codec, std::string_view bytes)
-      : codec_(codec), bytes_(bytes),
-        cache_(codec->schema().num_columns()) {}
+  explicit LazyRow(const RowCodec* codec)
+      : codec_(codec), cache_(codec->schema().num_columns()) {}
+
+  // Points the row at an encoded row of the codec's table; the decode
+  // cache keeps its storage, so a scan allocates once, not once per row.
+  void Reset(std::string_view bytes) {
+    bytes_ = bytes;
+    ++epoch_;
+  }
 
   Result<Value> Get(size_t col) const {
-    if (!cache_[col]) {
+    Slot& slot = cache_[col];
+    if (slot.epoch != epoch_) {
       auto v = codec_->DecodeColumn(bytes_, col);
       if (!v.ok()) return v;
-      cache_[col] = std::move(v).value();
+      slot.value = std::move(v).value();
+      slot.epoch = epoch_;
     }
-    return *cache_[col];
+    return slot.value;
   }
 
   int64_t rowid() const { return codec_->DecodeRowId(bytes_); }
@@ -39,36 +50,72 @@ class LazyRow {
   std::string_view bytes() const { return bytes_; }
 
  private:
+  struct Slot {
+    uint64_t epoch = 0;  // the row's epoch when `value` was decoded
+    Value value;
+  };
   const RowCodec* codec_ = nullptr;
   std::string_view bytes_;
-  mutable std::vector<std::optional<Value>> cache_;
+  uint64_t epoch_ = 0;
+  mutable std::vector<Slot> cache_;
 };
 
-// One FROM-table's contribution to the evaluation scope. Exactly one of
-// `row` (lazy, page-backed) or `mat` (materialized) is set; `schema` is
-// required with `mat`.
+// The FROM tables as name resolution sees them, in FROM order: each
+// table's schema and effective name (its alias if present, else its name).
+using NameScope = std::vector<std::pair<const Schema*, std::string_view>>;
+
+// Where a resolved column reference reads: a FROM slot and a column of that
+// table, or the slot's rowid pseudo-column.
+struct BoundColumn {
+  static constexpr int kRowId = -1;
+  int slot = -1;
+  int column = kRowId;
+};
+
+// Resolves one column reference: a qualified name reads the table whose
+// effective name matches the qualifier; an unqualified name must name a
+// column (or the flavor's rowid) of exactly one table. Fails with
+// "unknown column" / "ambiguous column" (kInvalidArgument).
+Result<BoundColumn> ResolveColumnRef(const sql::Expr& ref,
+                                     const NameScope& scope,
+                                     const FlavorTraits& traits);
+
+// The column references a statement evaluates per row, each resolved once
+// before the scan, so evaluating a row compares no names.
+class ColumnBindings {
+ public:
+  // Resolves every column reference in `e`; fails on the first that does
+  // not resolve, even when the tables hold no rows.
+  Status Bind(const sql::Expr& e, const NameScope& scope,
+              const FlavorTraits& traits);
+
+  // The resolution of a bound reference; nullptr when `ref` was not bound.
+  const BoundColumn* Find(const sql::Expr& ref) const;
+
+ private:
+  std::vector<std::pair<const sql::Expr*, BoundColumn>> refs_;  // by node
+};
+
+// One FROM slot's current row: exactly one of `row` (lazy, page-backed) or
+// `mat` (materialized) is set.
 struct TableBinding {
-  std::string effective_name;  // alias if present, else table name
   const LazyRow* row = nullptr;
   const Row* mat = nullptr;
-  const Schema* schema = nullptr;
-
-  const Schema& GetSchema() const {
-    return schema != nullptr ? *schema : row->codec().schema();
-  }
 };
 
-// Name-resolution + row scope for one (joined) tuple.
+// The row scope of one (joined) tuple: a row per FROM slot, read through
+// the statement's bound column references.
 struct RowBinding {
   std::vector<TableBinding> tables;
-  const FlavorTraits* traits = nullptr;
+  const ColumnBindings* columns = nullptr;
 
   // Aggregate results keyed by the FuncCall node, supplied by the aggregate
   // executor; nullptr in row-level contexts (aggregates then error out).
   const std::unordered_map<const sql::Expr*, Value>* aggregates = nullptr;
 
-  Result<Value> ResolveColumn(const std::string& table,
-                              const std::string& column) const;
+  // The value a bound column reference reads; an unbound one is an
+  // unknown column.
+  Result<Value> Column(const sql::Expr& ref) const;
 };
 
 // Evaluates `e` in the given scope.
@@ -76,14 +123,6 @@ Result<Value> Eval(const sql::Expr& e, const RowBinding& binding);
 
 // Collects every column reference in the subtree.
 void CollectColumnRefs(const sql::Expr& e, std::vector<const sql::Expr*>* out);
-
-// Plan-time name resolution: every column reference must resolve to exactly
-// one of the scope's (schema, effective-name) entries — or the rowid
-// pseudo-column — even when the tables hold no rows.
-Status ValidateColumnRefs(
-    const sql::Expr& e,
-    const std::vector<std::pair<const Schema*, std::string>>& scope,
-    const FlavorTraits& traits);
 
 // SQL truthiness: NULL -> false; numeric nonzero -> true; strings invalid.
 Result<bool> IsTruthy(const Value& v);

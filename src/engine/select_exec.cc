@@ -37,49 +37,18 @@ void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
   for (const auto& item : e.list) CollectAggregates(*item, out);
 }
 
-// Index of the single table a conjunct references, or -1 when it spans
-// several tables (or none — constants evaluate at the join level, cheaply).
-Result<int> ConjunctTable(
-    const Expr& conjunct,
-    const std::vector<std::pair<HeapTable*, std::string>>& tables,
-    const FlavorTraits& traits) {
+// FROM slot of the single table a conjunct reads, or -1 when it reads
+// several (or none — constants evaluate at the join level, cheaply).
+int ConjunctTable(const Expr& conjunct, const ColumnBindings& columns) {
   std::vector<const Expr*> refs;
   CollectColumnRefs(conjunct, &refs);
-  int which = -2;  // -2 = none yet
+  int which = -1;
   for (const Expr* ref : refs) {
-    int idx = -1;
-    if (!ref->table.empty()) {
-      for (size_t i = 0; i < tables.size(); ++i) {
-        if (EqualsIgnoreCase(tables[i].second, ref->table)) {
-          idx = static_cast<int>(i);
-          break;
-        }
-      }
-      if (idx < 0) {
-        return Status::InvalidArgument("unknown table qualifier " + ref->table);
-      }
-    } else {
-      int hits = 0;
-      for (size_t i = 0; i < tables.size(); ++i) {
-        bool has = tables[i].first->schema().FindColumn(ref->column) >= 0;
-        if (!has && traits.has_rowid &&
-            EqualsIgnoreCase(ref->column, traits.rowid_name)) {
-          has = true;
-        }
-        if (has) {
-          idx = static_cast<int>(i);
-          ++hits;
-        }
-      }
-      if (hits != 1) return -1;  // unknown or ambiguous: defer to join level
-    }
-    if (which == -2) {
-      which = idx;
-    } else if (which != idx) {
-      return -1;
-    }
+    const int slot = columns.Find(*ref)->slot;
+    if (which >= 0 && which != slot) return -1;
+    which = slot;
   }
-  return which == -2 ? -1 : which;
+  return which;
 }
 
 struct SortableRow {
@@ -165,31 +134,27 @@ struct AggAccum {
 
 namespace {
 
-// Table indices referenced by `e`, as a bitmask over up to 64 FROM tables;
-// returns nullopt when some reference does not resolve to a unique table.
-std::optional<uint64_t> ReferencedTables(
-    const Expr& e, const std::vector<std::pair<HeapTable*, std::string>>& tables,
-    const FlavorTraits& traits) {
+NameScope ScopeOf(
+    const std::vector<std::pair<HeapTable*, std::string>>& tables) {
+  NameScope scope;
+  scope.reserve(tables.size());
+  for (const auto& [table, name] : tables) {
+    scope.emplace_back(&table->schema(), name);
+  }
+  return scope;
+}
+
+// FROM slots referenced by `e`, as a bitmask over up to 64 FROM tables;
+// returns nullopt when some reference does not resolve.
+std::optional<uint64_t> ReferencedTables(const Expr& e, const NameScope& scope,
+                                         const FlavorTraits& traits) {
   std::vector<const Expr*> refs;
   CollectColumnRefs(e, &refs);
   uint64_t mask = 0;
   for (const Expr* ref : refs) {
-    int idx = -1, hits = 0;
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (!ref->table.empty() &&
-          !EqualsIgnoreCase(tables[i].second, ref->table)) {
-        continue;
-      }
-      bool has = tables[i].first->schema().FindColumn(ref->column) >= 0 ||
-                 (traits.has_rowid &&
-                  EqualsIgnoreCase(ref->column, traits.rowid_name));
-      if (has) {
-        idx = static_cast<int>(i);
-        ++hits;
-      }
-    }
-    if (hits != 1) return std::nullopt;
-    mask |= uint64_t{1} << idx;
+    auto bound = ResolveColumnRef(*ref, scope, traits);
+    if (!bound.ok()) return std::nullopt;
+    mask |= uint64_t{1} << bound->slot;
   }
   return mask;
 }
@@ -227,6 +192,7 @@ std::vector<AccessPath> PlanAccessPaths(
     const std::vector<std::pair<HeapTable*, std::string>>& tables,
     const FlavorTraits& traits) {
   const size_t n = tables.size();
+  const NameScope scope = ScopeOf(tables);
 
   // Resolves a (column expr, value expr) pair to (depth, column index) when
   // the column belongs to exactly one table and every table the value
@@ -235,16 +201,13 @@ std::vector<AccessPath> PlanAccessPaths(
                        int* col_out) -> bool {
     if (col_side == nullptr || val_side == nullptr) return false;
     if (col_side->kind != ExprKind::kColumnRef) return false;
-    auto col_mask = ReferencedTables(*col_side, tables, traits);
-    auto val_mask = ReferencedTables(*val_side, tables, traits);
-    if (!col_mask || !val_mask || *col_mask == 0) return false;
-    const int d = __builtin_ctzll(*col_mask);
-    if ((*val_mask >> d) != 0) return false;
-    int col = tables[static_cast<size_t>(d)].first->schema().FindColumn(
-        col_side->column);
-    if (col < 0) return false;  // rowid pseudo-column: not indexed
-    *d_out = d;
-    *col_out = col;
+    auto col = ResolveColumnRef(*col_side, scope, traits);
+    auto val_mask = ReferencedTables(*val_side, scope, traits);
+    if (!col.ok() || !val_mask) return false;
+    if ((*val_mask >> col->slot) != 0) return false;
+    if (col->column == BoundColumn::kRowId) return false;  // not indexed
+    *d_out = col->slot;
+    *col_out = col->column;
     return true;
   };
 
@@ -394,6 +357,7 @@ Result<IndexProbe> ProbeIndex(const AccessPath& path, const Schema& schema,
 Status Database::JoinScan(
     const sql::Statement& stmt,
     const std::vector<std::pair<HeapTable*, std::string>>& tables,
+    const ColumnBindings& columns,
     const std::function<Status(const RowBinding&)>& fn) {
   IRDB_CHECK_MSG(tables.size() <= 64, "too many FROM tables");
   // Classify WHERE conjuncts: per-table filters run during that table's scan.
@@ -402,7 +366,7 @@ Status Database::JoinScan(
   std::vector<std::vector<const Expr*>> table_filters(tables.size());
   std::vector<const Expr*> join_filters;
   for (const Expr* c : conjuncts) {
-    IRDB_ASSIGN_OR_RETURN(int idx, ConjunctTable(*c, tables, traits_));
+    const int idx = ConjunctTable(*c, columns);
     if (idx >= 0) {
       table_filters[static_cast<size_t>(idx)].push_back(c);
     } else {
@@ -411,16 +375,16 @@ Status Database::JoinScan(
   }
   std::vector<AccessPath> paths = PlanAccessPaths(conjuncts, tables, traits_);
 
+  // One binding serves every depth: a filter or index bound at depth d
+  // reads only slots <= d, which are already positioned.
   const size_t n = tables.size();
-  std::vector<LazyRow> rows(n);
+  std::vector<LazyRow> rows;
+  rows.reserve(n);
   RowBinding full;
-  full.traits = &traits_;
-  full.tables.resize(n);
+  full.columns = &columns;
   for (size_t i = 0; i < n; ++i) {
-    // Include the schema so name resolution works before a depth is bound
-    // (index-prefix expressions only read already-bound depths).
-    full.tables[i] = TableBinding{tables[i].second, &rows[i], nullptr,
-                                  &tables[i].first->schema()};
+    rows.emplace_back(&tables[i].first->codec());
+    full.tables.push_back(TableBinding{&rows[i], nullptr});
   }
 
   std::vector<int32_t> table_ids(n);
@@ -428,6 +392,8 @@ Status Database::JoinScan(
     IRDB_ASSIGN_OR_RETURN(table_ids[i], catalog_.TableId(tables[i].first->name()));
   }
 
+  // Each page this statement reads is pinned once and held until it ends.
+  PagePins pins;
   std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
     if (depth == n) {
       for (const Expr* c : join_filters) {
@@ -438,22 +404,15 @@ Status Database::JoinScan(
       return fn(full);
     }
     HeapTable* table = tables[depth].first;
-    const RowCodec& codec = table->codec();
-    RowBinding single;
-    single.traits = &traits_;
-    single.tables.push_back(TableBinding{tables[depth].second, &rows[depth],
-                                         nullptr, &table->schema()});
 
     auto visit = [&](std::string_view row_bytes) -> Status {
       io_model_.AccountRowsExamined(1);
-      rows[depth] = LazyRow(&codec, row_bytes);
-      bool pass = true;
+      rows[depth].Reset(row_bytes);
       for (const Expr* c : table_filters[depth]) {
-        IRDB_ASSIGN_OR_RETURN(Value v, Eval(*c, single));
-        IRDB_ASSIGN_OR_RETURN(pass, IsTruthy(v));
-        if (!pass) break;
+        IRDB_ASSIGN_OR_RETURN(Value v, Eval(*c, full));
+        IRDB_ASSIGN_OR_RETURN(bool pass, IsTruthy(v));
+        if (!pass) return Status::Ok();
       }
-      if (!pass) return Status::Ok();
       return recurse(depth + 1);
     };
 
@@ -468,7 +427,7 @@ Status Database::JoinScan(
         obs::Count(obs::Metrics::Get().index_scans);
         for (RowLoc loc : locs) {
           io_model_.TouchPage(table_ids[depth], loc.page);
-          IRDB_RETURN_IF_ERROR(visit(table->ReadAt(loc)));
+          IRDB_RETURN_IF_ERROR(visit(table->ReadAt(loc, &pins)));
         }
         return Status::Ok();
       }
@@ -478,7 +437,7 @@ Status Database::JoinScan(
     obs::Count(obs::Metrics::Get().heap_scans);
     for (int p = 0; p < table->page_count(); ++p) {
       io_model_.TouchPage(table_ids[depth], p);
-      const Page* page = table->GetPage(p);
+      const Page* page = table->GetPage(p, &pins);
       for (int slot = 0; slot < page->slot_count(); ++slot) {
         if (!page->SlotLive(slot)) continue;
         IRDB_RETURN_IF_ERROR(visit(page->RowAt(slot)));
@@ -491,8 +450,7 @@ Status Database::JoinScan(
 
 Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
     HeapTable* table, int32_t table_id, const std::string& effective_name,
-    const sql::Expr* where) {
-  const RowCodec& codec = table->codec();
+    const sql::Expr* where, const ColumnBindings& columns) {
   std::vector<std::pair<HeapTable*, std::string>> tables{{table, effective_name}};
 
   std::vector<const Expr*> conjuncts;
@@ -500,15 +458,14 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
   std::vector<AccessPath> paths = PlanAccessPaths(conjuncts, tables, traits_);
 
   std::vector<std::pair<RowLoc, std::string>> matches;
-  LazyRow lazy;
+  LazyRow lazy(&table->codec());
   RowBinding binding;
-  binding.traits = &traits_;
-  binding.tables.push_back(
-      TableBinding{effective_name, &lazy, nullptr, &table->schema()});
+  binding.columns = &columns;
+  binding.tables.push_back(TableBinding{&lazy, nullptr});
 
   auto visit = [&](RowLoc loc, std::string_view bytes) -> Status {
     io_model_.AccountRowsExamined(1);
-    lazy = LazyRow(&codec, bytes);
+    lazy.Reset(bytes);
     bool match = true;
     if (where != nullptr) {
       IRDB_ASSIGN_OR_RETURN(Value v, Eval(*where, binding));
@@ -518,6 +475,7 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
     return Status::Ok();
   };
 
+  PagePins pins;
   if (paths[0].index != nullptr) {
     std::vector<RowLoc> locs;
     IRDB_ASSIGN_OR_RETURN(IndexProbe probe,
@@ -527,7 +485,7 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
       obs::Count(obs::Metrics::Get().index_scans);
       for (RowLoc loc : locs) {
         io_model_.TouchPage(table_id, loc.page);
-        IRDB_RETURN_IF_ERROR(visit(loc, table->ReadAt(loc)));
+        IRDB_RETURN_IF_ERROR(visit(loc, table->ReadAt(loc, &pins)));
       }
       return matches;
     }
@@ -536,7 +494,7 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
   obs::Count(obs::Metrics::Get().heap_scans);
   for (int p = 0; p < table->page_count(); ++p) {
     io_model_.TouchPage(table_id, p);
-    const Page* page = table->GetPage(p);
+    const Page* page = table->GetPage(p, &pins);
     for (int slot = 0; slot < page->slot_count(); ++slot) {
       if (!page->SlotLive(slot)) continue;
       IRDB_RETURN_IF_ERROR(visit(RowLoc{p, slot}, page->RowAt(slot)));
@@ -598,31 +556,29 @@ Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
   }
   if (tables.empty()) return Status::InvalidArgument("SELECT without FROM");
 
-  // Resolve every referenced name up front (empty tables still type-check).
-  std::vector<std::pair<const Schema*, std::string>> scope;
-  scope.reserve(tables.size());
-  for (const auto& [table, name] : tables) {
-    scope.emplace_back(&table->schema(), name);
-  }
+  // Resolve every column reference once, before the scan (empty tables
+  // still type-check).
+  const NameScope scope = ScopeOf(tables);
+  ColumnBindings columns;
   for (const sql::SelectItem& item : stmt.select_items) {
     if (item.star) continue;
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*item.expr, scope, traits_));
+    IRDB_RETURN_IF_ERROR(columns.Bind(*item.expr, scope, traits_));
   }
   if (stmt.where) {
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*stmt.where, scope, traits_));
+    IRDB_RETURN_IF_ERROR(columns.Bind(*stmt.where, scope, traits_));
   }
   for (const auto& ge : stmt.group_by) {
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*ge, scope, traits_));
+    IRDB_RETURN_IF_ERROR(columns.Bind(*ge, scope, traits_));
   }
   for (const auto& oi : stmt.order_by) {
-    IRDB_RETURN_IF_ERROR(ValidateColumnRefs(*oi.expr, scope, traits_));
+    IRDB_RETURN_IF_ERROR(columns.Bind(*oi.expr, scope, traits_));
   }
 
   bool aggregate = !stmt.group_by.empty();
   for (const sql::SelectItem& item : stmt.select_items) {
     if (!item.star && item.expr->ContainsAggregate()) aggregate = true;
   }
-  if (aggregate) return ExecAggregateSelect(stmt, tables);
+  if (aggregate) return ExecAggregateSelect(stmt, tables, columns);
 
   // Expand the projection list.
   struct OutCol {
@@ -660,7 +616,7 @@ Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
   }
 
   std::vector<SortableRow> rows;
-  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, [&](const RowBinding& binding) -> Status {
+  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, columns, [&](const RowBinding& binding) -> Status {
     SortableRow row;
     row.out.reserve(out_cols.size());
     for (const OutCol& oc : out_cols) {
@@ -691,7 +647,8 @@ Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
 
 Result<ResultSet> Database::ExecAggregateSelect(
     const sql::Statement& stmt,
-    const std::vector<std::pair<HeapTable*, std::string>>& tables) {
+    const std::vector<std::pair<HeapTable*, std::string>>& tables,
+    const ColumnBindings& columns) {
   // Gather the aggregate call sites.
   std::vector<const Expr*> agg_nodes;
   for (const sql::SelectItem& item : stmt.select_items) {
@@ -717,7 +674,7 @@ Result<ResultSet> Database::ExecAggregateSelect(
   };
   std::map<std::string, Group> groups;
 
-  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, [&](const RowBinding& binding) -> Status {
+  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, columns, [&](const RowBinding& binding) -> Status {
     std::vector<Value> keys;
     keys.reserve(stmt.group_by.size());
     std::string key_repr;
@@ -785,13 +742,11 @@ Result<ResultSet> Database::ExecAggregateSelect(
           g.accums[a].Finalize(agg_nodes[a]->func_name, agg_nodes[a]->distinct);
     }
     RowBinding binding;
-    binding.traits = &traits_;
+    binding.columns = &columns;
     binding.aggregates = &agg_values;
     binding.tables.reserve(tables.size());
-    for (size_t t = 0; t < tables.size(); ++t) {
-      binding.tables.push_back(TableBinding{tables[t].second, nullptr,
-                                            &g.rep_rows[t],
-                                            &tables[t].first->schema()});
+    for (const Row& rep : g.rep_rows) {
+      binding.tables.push_back(TableBinding{nullptr, &rep});
     }
     SortableRow row;
     for (const sql::SelectItem& item : stmt.select_items) {

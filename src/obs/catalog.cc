@@ -109,11 +109,12 @@ const Metrics& Metrics::Get() {
         "index prefix for the predicate)");
     m->bufferpool_hits = r.RegisterCounter(
         "irdb_bufferpool_hits_total",
-        "Page pins satisfied by an already-resident buffer-pool frame");
+        "Page accesses served by an already-resident buffer-pool frame, "
+        "including a statement's re-reads of a page it holds pinned");
     m->bufferpool_misses = r.RegisterCounter(
         "irdb_bufferpool_misses_total",
-        "Page pins that had to admit the page into the buffer pool "
-        "(charged as a simulated disk read)");
+        "Page accesses that had to admit the page into the buffer pool "
+        "(counted only; no simulated I/O is charged for them)");
     m->bufferpool_evictions = r.RegisterCounter(
         "irdb_bufferpool_evictions_total",
         "Frames evicted by the LRU-K replacer to stay under the configured "

@@ -11,6 +11,7 @@
 #include "engine/database.h"
 #include "obs/catalog.h"
 #include "obs/trace.h"
+#include "util/failpoint.h"
 #include "wire/connection.h"
 
 namespace irdb::repair {
@@ -142,13 +143,23 @@ namespace {
 // Per-component replay results, merged in component order afterwards so the
 // report is deterministic under any lane scheduling.
 struct LaneOutcome {
+  static constexpr size_t kFinished = static_cast<size_t>(-1);
   std::set<int64_t> replayed;
   std::map<int64_t, DemoteReason> demoted;
   int64_t diverged = 0;
   int64_t stmts_replayed = 0;
+  // Index of the transaction a concurrent lane stopped at because it ran
+  // out of deadlock retries; kFinished once the component is done.
+  size_t stopped_at = kFinished;
 };
 
-enum class ReplayResult { kCommitted, kDiverged, kFailed };
+// kDeadlocked: every attempt lost a deadlock — a property of the schedule,
+// not of the corrected state.
+enum class ReplayResult { kCommitted, kDiverged, kDeadlocked, kFailed };
+
+// Reports a lane's transaction as out of deadlock retries without running
+// it, so tests can force the lost-race path on every run.
+constexpr const char* kLaneDeadlockFailpoint = "reenact.lane.deadlock";
 
 // Re-executes one transaction's journaled statements in a fresh transaction
 // on its own connection. Divergence = statement error or row-count
@@ -201,7 +212,7 @@ ReplayResult ReplayOneTxn(Database* db, const std::vector<StmtRecord>& stmts,
     if (!concurrency::IsDeadlockAbort(st)) return ReplayResult::kFailed;
     std::this_thread::sleep_for(std::chrono::milliseconds(1 + attempt));
   }
-  return ReplayResult::kFailed;  // deadlock retries exhausted
+  return ReplayResult::kDeadlocked;
 }
 
 }  // namespace
@@ -218,14 +229,21 @@ void ExecuteReenactPlan(Database* db, const DependencyAnalysis& analysis,
                                      plan.replay_order.end());
   const auto writers_of = KeptWritersWithin(analysis, replay_set, policy);
 
+  // Replays component `ci` from its `from`-th transaction. A concurrent
+  // lane whose transaction exhausts its deadlock retries stops there: the
+  // deadlock came from racing the other lanes, so the component resumes
+  // alone once they are done instead of demoting. Alone, an exhausted
+  // transaction demotes as replay-failed.
   std::vector<LaneOutcome> lanes(plan.components.size());
-  auto run_component = [&](size_t ci) {
+  auto run_component = [&](size_t ci, size_t from, bool concurrent) {
     const std::vector<int64_t>& component = plan.components[ci];
     LaneOutcome& lane = lanes[ci];
+    lane.stopped_at = LaneOutcome::kFinished;
     obs::Span span(obs::span::kReenactComponent);
     span.AddArg("component", static_cast<int64_t>(ci));
-    span.AddArg("txns", static_cast<int64_t>(component.size()));
-    for (int64_t id : component) {
+    span.AddArg("txns", static_cast<int64_t>(component.size() - from));
+    for (size_t i = from; i < component.size(); ++i) {
+      const int64_t id = component[i];
       // A divergence demotes its own downstream closure; kept edges never
       // cross components, so propagation is complete within the lane.
       bool downstream = false;
@@ -243,14 +261,25 @@ void ExecuteReenactPlan(Database* db, const DependencyAnalysis& analysis,
         continue;
       }
       const int64_t internal = analysis.proxy_to_internal.at(id);
-      switch (ReplayOneTxn(db, journal.Committed(internal),
-                           &lane.stmts_replayed)) {
+      const ReplayResult result =
+          fail::Triggered(kLaneDeadlockFailpoint)
+              ? ReplayResult::kDeadlocked
+              : ReplayOneTxn(db, journal.Committed(internal),
+                             &lane.stmts_replayed);
+      switch (result) {
         case ReplayResult::kCommitted:
           lane.replayed.insert(id);
           break;
         case ReplayResult::kDiverged:
           lane.demoted[id] = DemoteReason::kDiverged;
           ++lane.diverged;
+          break;
+        case ReplayResult::kDeadlocked:
+          if (concurrent) {
+            lane.stopped_at = i;
+            return;
+          }
+          lane.demoted[id] = DemoteReason::kReplayFailed;
           break;
         case ReplayResult::kFailed:
           lane.demoted[id] = DemoteReason::kReplayFailed;
@@ -265,12 +294,18 @@ void ExecuteReenactPlan(Database* db, const DependencyAnalysis& analysis,
     std::vector<std::future<void>> pending;
     pending.reserve(plan.components.size());
     for (size_t ci = 0; ci < plan.components.size(); ++ci) {
-      pending.push_back(pool->Submit([&, ci] { run_component(ci); }));
+      pending.push_back(pool->Submit([&, ci] { run_component(ci, 0, true); }));
     }
     for (auto& f : pending) f.wait();
+    for (size_t ci = 0; ci < plan.components.size(); ++ci) {
+      const size_t stopped = lanes[ci].stopped_at;
+      if (stopped != LaneOutcome::kFinished) run_component(ci, stopped, false);
+    }
   } else {
     out->replay_lanes = 1;
-    for (size_t ci = 0; ci < plan.components.size(); ++ci) run_component(ci);
+    for (size_t ci = 0; ci < plan.components.size(); ++ci) {
+      run_component(ci, 0, false);
+    }
   }
 
   for (const LaneOutcome& lane : lanes) {

@@ -18,7 +18,10 @@
 //     the replay set share no tracked dependency and are replayed
 //     concurrently (one lane per component); members of one component replay
 //     serially in ascending id. 2PL arbitrates physical conflicts between
-//     lanes; deadlocked replays retry bounded.
+//     lanes; deadlocked replays retry bounded, and a lane whose transaction
+//     exhausts them stops its component there — after the lanes join, the
+//     stopped components resume one at a time in component order, so a
+//     lost lock race never demotes (serial and parallel reports agree).
 //   - Divergence: a replayed statement that errors, or whose result
 //     fingerprint (SELECT row count / DML affected count) differs from the
 //     journaled one, demotes its transaction to undo — the replay rolls back
@@ -51,7 +54,8 @@ enum class DemoteReason {
   kNoJournal,     // no journaled statements (history predates the journal)
   kDiverged,      // replay fingerprint mismatch or statement error
   kDownstream,    // depends (through kept edges) on a demoted transaction
-  kReplayFailed,  // infrastructure failure (e.g. deadlock retries exhausted)
+  kReplayFailed,  // infrastructure failure (e.g. deadlock retries exhausted
+                  // with no other replay lane running)
 };
 
 const char* DemoteReasonName(DemoteReason r);

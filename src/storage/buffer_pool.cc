@@ -11,6 +11,45 @@ void PageGuard::Release() {
   }
 }
 
+void PagePins::Pin(BufferPool* pool, uint32_t owner, int32_t page_no) {
+  if (pool == nullptr) return;
+  IRDB_CHECK_MSG(pool_ == nullptr || pool_ == pool,
+                 "a pin set holds pages of one buffer pool");
+  pool_ = pool;
+  const uint64_t key = BufferPool::Key(owner, page_no);
+  if (held_ > 0 && keys_[last_] == key) {
+    ++rereads_;
+    return;
+  }
+  for (size_t i = 0; i < held_; ++i) {
+    if (keys_[i] == key) {
+      last_ = i;
+      ++rereads_;
+      return;
+    }
+  }
+  size_t slot = held_;
+  if (held_ < kMaxHeld) {
+    ++held_;
+  } else {
+    slot = oldest_;
+    oldest_ = (oldest_ + 1) % kMaxHeld;
+    pool_->Unpin(keys_[slot]);
+  }
+  pool_->PinKey(key);
+  keys_[slot] = key;
+  last_ = slot;
+}
+
+void PagePins::Release() {
+  if (pool_ != nullptr) pool_->UnpinAll(keys_, held_, rereads_);
+  pool_ = nullptr;
+  held_ = 0;
+  oldest_ = 0;
+  last_ = 0;
+  rereads_ = 0;
+}
+
 uint32_t BufferPool::RegisterOwner() {
   std::lock_guard<std::mutex> lock(mu_);
   return next_owner_++;
@@ -18,9 +57,16 @@ uint32_t BufferPool::RegisterOwner() {
 
 PageGuard BufferPool::Pin(uint32_t owner, int32_t page_no, bool* was_miss) {
   const uint64_t key = Key(owner, page_no);
+  const bool miss = PinKey(key);
+  if (was_miss != nullptr) *was_miss = miss;
+  return PageGuard(this, key);
+}
+
+bool BufferPool::PinKey(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
+  const size_t resident_before = frames_.size();
   auto it = frames_.find(key);
-  bool miss = it == frames_.end();
+  const bool miss = it == frames_.end();
   if (miss) {
     while (frames_.size() >= capacity_) {
       const size_t before = frames_.size();
@@ -40,11 +86,11 @@ PageGuard BufferPool::Pin(uint32_t owner, int32_t page_no, bool* was_miss) {
   f.history[f.accesses % static_cast<uint64_t>(k_)] = ++clock_;
   ++f.accesses;
   ++f.pin_count;
-  stats_.resident = frames_.size();
-  obs::SetGauge(obs::Metrics::Get().bufferpool_resident,
-                static_cast<int64_t>(frames_.size()));
-  if (was_miss != nullptr) *was_miss = miss;
-  return PageGuard(this, key);
+  if (frames_.size() != resident_before) {
+    obs::SetGauge(obs::Metrics::Get().bufferpool_resident,
+                  static_cast<int64_t>(frames_.size()));
+  }
+  return miss;
 }
 
 void BufferPool::EvictLocked() {
@@ -78,11 +124,21 @@ void BufferPool::EvictLocked() {
   obs::Count(obs::Metrics::Get().bufferpool_evictions);
 }
 
-void BufferPool::Unpin(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = frames_.find(key);
-  if (it == frames_.end()) return;  // evicted under over-admission pressure
-  if (it->second.pin_count > 0) --it->second.pin_count;
+void BufferPool::Unpin(uint64_t key) { UnpinAll(&key, 1, 0); }
+
+void BufferPool::UnpinAll(const uint64_t* keys, size_t n, int64_t rereads) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < n; ++i) {
+      auto it = frames_.find(keys[i]);
+      // A missing frame was evicted under over-admission pressure.
+      if (it != frames_.end() && it->second.pin_count > 0) {
+        --it->second.pin_count;
+      }
+    }
+    stats_.hits += static_cast<uint64_t>(rereads);
+  }
+  if (rereads > 0) obs::Count(obs::Metrics::Get().bufferpool_hits, rereads);
 }
 
 void BufferPool::set_capacity(size_t frames) {

@@ -1,17 +1,21 @@
-// Buffer pool manager: LRU-K residency tracking with pin counts and RAII
-// page guards.
+// Buffer pool manager: LRU-K residency tracking with pin counts.
 //
 // The engine keeps page bytes in memory for their whole lifetime (the WAL
 // and the flavor emulations address raw in-memory pages), so the pool does
 // not own page storage; it is the residency authority layered over the
-// heap: every page access pins a frame, a bounded number of frames are
-// resident at once, and crossing the capacity evicts the unpinned frame
-// with the largest backward k-distance (LRU-K; frames with fewer than K
-// recorded accesses evict first, oldest first access breaking ties — scan
-// bursts cannot flush the hot set, which plain LRU gets wrong). Misses and
-// evictions are observable (irdb_bufferpool_* counters) and charged to the
-// simulated-I/O model by the engine, so benches see miss costs without the
-// engine actually dropping bytes it still addresses.
+// heap: a bounded number of frames are resident at once, and crossing the
+// capacity evicts the unpinned frame with the largest backward k-distance
+// (LRU-K; frames with fewer than K recorded accesses evict first, oldest
+// first access breaking ties — scan bursts cannot flush the hot set, which
+// plain LRU gets wrong). Misses and evictions are observable
+// (irdb_bufferpool_* counters); nothing charges them as simulated I/O —
+// the IoModel keeps its own page cache (ROADMAP item 5).
+//
+// Two ways to pin. A write (and any one-off access) pins for one operation
+// through an RAII PageGuard. A statement's reads go through a PagePins set,
+// which pins each page on its first read and holds it until the statement
+// ends, so repeated reads of one page skip the pool's mutex (one correlated
+// reference in LRU-K's terms: one recorded access per statement and page).
 #pragma once
 
 #include <cstdint>
@@ -53,6 +57,39 @@ class PageGuard {
   uint64_t key_ = 0;
 };
 
+// One statement's read pins. The first read of a page pins it through the
+// pool: one LRU-K access and one hit or miss, as a PageGuard would. Later
+// reads of a held page are hits that touch no shared state; they are added
+// to the pool's hit counters when the set releases, under the same single
+// mutex acquisition that drops its pins, so hits + misses still equal page
+// reads. At most kMaxHeld pages are held: reading one more unpins the
+// oldest, so a bounded pool over-admits by at most kMaxHeld frames per open
+// set. Not thread-safe; each statement owns its set.
+class PagePins {
+ public:
+  static constexpr size_t kMaxHeld = 16;
+
+  PagePins() = default;
+  PagePins(const PagePins&) = delete;
+  PagePins& operator=(const PagePins&) = delete;
+  ~PagePins() { Release(); }
+
+  // Records one read of page (owner, page_no) of `pool`; a null pool (a
+  // table without one) records nothing.
+  void Pin(BufferPool* pool, uint32_t owner, int32_t page_no);
+
+  // Unpins every held page and publishes the deferred hits.
+  void Release();
+
+ private:
+  BufferPool* pool_ = nullptr;
+  uint64_t keys_[kMaxHeld] = {};
+  size_t held_ = 0;
+  size_t oldest_ = 0;  // slot the next pin replaces once the set is full
+  size_t last_ = 0;    // slot of the most recently read page
+  int64_t rereads_ = 0;
+};
+
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -74,8 +111,7 @@ class BufferPool {
 
   // Pins page (owner, page_no), recording the access for LRU-K. A miss may
   // evict; the returned guard unpins on destruction. `was_miss` (optional)
-  // reports whether the page had to be "fetched", so callers can charge the
-  // simulated read cost exactly once per miss.
+  // reports whether the page had to be admitted.
   PageGuard Pin(uint32_t owner, int32_t page_no, bool* was_miss = nullptr);
 
   // Shrinking the capacity evicts lazily, on subsequent pins.
@@ -88,6 +124,7 @@ class BufferPool {
 
  private:
   friend class PageGuard;
+  friend class PagePins;
 
   struct Frame {
     int pin_count = 0;
@@ -100,7 +137,12 @@ class BufferPool {
            static_cast<uint32_t>(page_no);
   }
 
+  // Pins the frame of `key`, admitting it on a miss; true on a miss.
+  bool PinKey(uint64_t key);
   void Unpin(uint64_t key);
+  // Drops one pin on each of `keys` and counts `rereads` hits, under one
+  // acquisition of the mutex.
+  void UnpinAll(const uint64_t* keys, size_t n, int64_t rereads);
   void EvictLocked();  // evict one victim, if any is evictable
 
   mutable std::mutex mu_;

@@ -58,10 +58,9 @@ RowLoc HeapTable::Insert(std::string_view row_bytes) {
   return loc;
 }
 
-std::string_view HeapTable::ReadAt(RowLoc loc) const {
+std::string_view HeapTable::ReadAt(RowLoc loc, PagePins* pins) const {
   IRDB_CHECK(loc.page >= 0 && loc.page < page_count());
-  PageGuard guard = PinPage(loc.page);
-  return pages_[loc.page]->RowAt(loc.slot);
+  return GetPage(loc.page, pins)->RowAt(loc.slot);
 }
 
 void HeapTable::UpdateAt(RowLoc loc, std::string_view row_bytes) {
@@ -107,9 +106,13 @@ void HeapTable::Scan(
   }
 }
 
-const Page* HeapTable::GetPage(int page_no) const {
+const Page* HeapTable::GetPage(int page_no, PagePins* pins) const {
   if (page_no < 0 || page_no >= page_count()) return nullptr;
-  PageGuard guard = PinPage(page_no);
+  if (pins != nullptr) {
+    pins->Pin(pool_, pool_owner_, page_no);
+  } else {
+    PinPage(page_no);  // the guard unpins at once
+  }
   return pages_[page_no].get();
 }
 

@@ -6,7 +6,8 @@
 // so RowLocs are stable; insert placement — lowest page with space, lowest
 // dead slot within it — is a deterministic function of table state, which
 // WAL redo relies on. Pages are pinned through the buffer pool (when one is
-// attached) so residency is bounded and observable.
+// attached) so residency is bounded and observable: writes pin for the
+// operation, reads into the caller's PagePins when it passes one.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,9 @@ class HeapTable {
   // Inserts an encoded row; returns where it landed.
   RowLoc Insert(std::string_view row_bytes);
 
-  // Reads the encoded row at `loc`.
-  std::string_view ReadAt(RowLoc loc) const;
+  // Reads the encoded row at `loc`, pinning its page into `pins` (held until
+  // the set releases); without a set the page is pinned for this call only.
+  std::string_view ReadAt(RowLoc loc, PagePins* pins = nullptr) const;
 
   // Overwrites the row at `loc` in place.
   void UpdateAt(RowLoc loc, std::string_view row_bytes);
@@ -57,9 +59,9 @@ class HeapTable {
   // Visits every live row; the callback may not mutate the table.
   void Scan(const std::function<void(RowLoc, std::string_view)>& fn) const;
 
-  // Raw page access for the `dbcc page` emulation. Returns nullptr when the
-  // page number is out of range.
-  const Page* GetPage(int page_no) const;
+  // Raw page access for page scans and the `dbcc page` emulation, pinned
+  // like ReadAt. Returns nullptr when the page number is out of range.
+  const Page* GetPage(int page_no, PagePins* pins = nullptr) const;
 
   // Monotonic counters owned by the table.
   int64_t NextRowId() { return next_rowid_++; }

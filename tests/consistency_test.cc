@@ -39,7 +39,9 @@ void CheckTpccInvariants(DbConnection* admin, const tpcc::TpccConfig& config) {
                               "SELECT MAX(no_o_id) FROM new_order WHERE "
                               "no_w_id = " + std::to_string(w) +
                               " AND no_d_id = " + std::to_string(d));
-      if (max_no >= 0) EXPECT_LE(max_no, max_o);
+      if (max_no >= 0) {
+        EXPECT_LE(max_no, max_o);
+      }
     }
   }
   // Invariant 3: sum(o_ol_cnt) == count(order_line).

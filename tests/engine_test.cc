@@ -91,6 +91,97 @@ TEST_F(EngineTest, Joins) {
   ASSERT_EQ(self.rows.size(), 1u);
 }
 
+// Column references are resolved once per statement, before the scan; these
+// pin down the name rules that resolution keeps.
+TEST_F(EngineTest, JoinResolvesUnqualifiedUniqueColumns) {
+  Must("CREATE TABLE a (aid INTEGER, x VARCHAR(4))");
+  Must("CREATE TABLE b (bid INTEGER, y VARCHAR(4))");
+  Must("INSERT INTO a(aid, x) VALUES (1, 'a1'), (2, 'a2'), (3, 'a3')");
+  Must("INSERT INTO b(bid, y) VALUES (3, 'b3'), (2, 'b2'), (4, 'b4')");
+  ResultSet rs =
+      Must("SELECT x, y FROM a, b WHERE aid = bid AND x <> 'a9' ORDER BY y DESC");
+  ASSERT_EQ(rs.rows.size(), 2u);
+  EXPECT_EQ(rs.rows[0][0].as_string(), "a3");
+  EXPECT_EQ(rs.rows[0][1].as_string(), "b3");
+  EXPECT_EQ(rs.rows[1][0].as_string(), "a2");
+  EXPECT_EQ(rs.rows[1][1].as_string(), "b2");
+}
+
+TEST_F(EngineTest, JoinRejectsAmbiguousAndUnknownNames) {
+  Must("CREATE TABLE a (id INTEGER, x VARCHAR(4))");
+  Must("CREATE TABLE b (id INTEGER, y VARCHAR(4))");
+  Must("INSERT INTO a(id, x) VALUES (1, 'a1')");
+  Must("INSERT INTO b(id, y) VALUES (1, 'b1')");
+  for (const char* sql : {"SELECT x FROM a, b WHERE id = 1",
+                          "SELECT id FROM a, b",
+                          "SELECT x FROM a, b ORDER BY id"}) {
+    Status st = Fails(sql);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(st.message().find("ambiguous column id"), std::string::npos)
+        << sql << " -> " << st.ToString();
+  }
+  Status qualifier = Fails("SELECT a.x FROM a, b WHERE c.id = 1");
+  EXPECT_EQ(qualifier.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(qualifier.message().find("unknown column c.id"), std::string::npos)
+      << qualifier.ToString();
+  Status column = Fails("SELECT a.x FROM a, b WHERE a.y = 'b1'");
+  EXPECT_EQ(column.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(column.message().find("unknown column a.y"), std::string::npos)
+      << column.ToString();
+  // Qualifiers and unique names still resolve next to the failures.
+  EXPECT_EQ(Must("SELECT x, y FROM a, b WHERE a.id = b.id").rows.size(), 1u);
+}
+
+TEST_F(EngineTest, RowIdPseudoColumnInJoinPredicate) {
+  Must("CREATE TABLE a (v INTEGER)");
+  Must("CREATE TABLE b (w INTEGER)");
+  Must("INSERT INTO a(v) VALUES (10), (20), (30)");
+  Must("INSERT INTO b(w) VALUES (2), (3)");
+  ResultSet rs = Must("SELECT v, w FROM a, b WHERE a.rowid = b.w ORDER BY v");
+  ASSERT_EQ(rs.rows.size(), 2u);
+  EXPECT_EQ(rs.rows[0][0].as_int(), 20);
+  EXPECT_EQ(rs.rows[1][0].as_int(), 30);
+  // Both tables carry the pseudo-column, so the bare name is ambiguous.
+  EXPECT_NE(Fails("SELECT v FROM a, b WHERE rowid = w").message().find(
+                "ambiguous column rowid"),
+            std::string::npos);
+  Database syb(FlavorTraits::Sybase());
+  ASSERT_TRUE(syb.Execute(0, "CREATE TABLE a (v INTEGER)").ok());
+  ASSERT_TRUE(syb.Execute(0, "CREATE TABLE b (w INTEGER)").ok());
+  EXPECT_EQ(syb.Execute(0, "SELECT v FROM a, b WHERE a.rowid = b.w")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Stock-Level's shape: an index range scan joined to point probes, with
+// COUNT(DISTINCT) over the probed table; plus GROUP BY across the join.
+TEST_F(EngineTest, AggregatesOverJoin) {
+  Must("CREATE TABLE ol (w INTEGER, o INTEGER, n INTEGER, item INTEGER, "
+       "PRIMARY KEY(w, o, n))");
+  Must("CREATE TABLE st (w INTEGER, item INTEGER, qty INTEGER, "
+       "PRIMARY KEY(w, item))");
+  Must("INSERT INTO st(w, item, qty) VALUES (1, 1, 5), (1, 2, 50), "
+       "(1, 3, 7), (2, 1, 1)");
+  Must("INSERT INTO ol(w, o, n, item) VALUES (1, 10, 1, 1), (1, 10, 2, 2), "
+       "(1, 11, 1, 1), (1, 11, 2, 3), (1, 12, 1, 3), (1, 9, 1, 3), "
+       "(2, 10, 1, 1)");
+  ResultSet stock = Must(
+      "SELECT COUNT(DISTINCT st.item) FROM ol, st WHERE ol.w = 1 AND o >= 10 "
+      "AND o < 12 AND st.w = ol.w AND st.item = ol.item AND qty < 10");
+  ASSERT_EQ(stock.rows.size(), 1u);
+  EXPECT_EQ(stock.rows[0][0].as_int(), 2);  // items 1 and 3
+  ResultSet grouped = Must(
+      "SELECT o, COUNT(*), SUM(qty) FROM ol, st WHERE ol.w = st.w AND "
+      "ol.item = st.item GROUP BY o ORDER BY o");
+  ASSERT_EQ(grouped.rows.size(), 4u);
+  EXPECT_EQ(grouped.rows[0][0].as_int(), 9);
+  EXPECT_EQ(grouped.rows[1][0].as_int(), 10);
+  EXPECT_EQ(grouped.rows[1][1].as_int(), 3);   // (1,10,*) twice + (2,10,1)
+  EXPECT_EQ(grouped.rows[1][2].as_int(), 56);  // 5 + 50 + 1
+  EXPECT_EQ(grouped.rows[2][2].as_int(), 12);  // 5 + 7
+}
+
 TEST_F(EngineTest, Aggregates) {
   Must("CREATE TABLE t (g INTEGER, v INTEGER, d DOUBLE)");
   Must("INSERT INTO t(g, v, d) VALUES (1, 10, 1.5), (1, 20, 2.5), (2, 30, 3.5)");

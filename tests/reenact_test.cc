@@ -11,6 +11,7 @@
 #include "core/resilient_db.h"
 #include "repair/reenact.h"
 #include "repair/whatif.h"
+#include "util/failpoint.h"
 
 namespace irdb {
 namespace {
@@ -268,6 +269,52 @@ TEST(ReenactTest, ParallelReplayMatchesSerial) {
             parallel.rdb->db().StateHash({"account"}, {"trid"}));
   EXPECT_EQ(serial.rdb->db().StateHash({"account"}, {"trid"}),
             OracleHash(scripts, {0}));
+}
+
+// A lane whose transaction runs out of deadlock retries lost a lock race
+// with another lane; its component stops there and resumes alone after the
+// lanes join, so nothing demotes. The failpoint forces that exhaustion
+// once, on whichever lane evaluates it first.
+TEST(ReenactTest, LaneOutOfDeadlockRetriesResumesInsteadOfDemoting) {
+  std::vector<Script> scripts = {
+      {"Attack", {"UPDATE account SET balance = balance + 1000"}},
+  };
+  for (int j = 0; j < 9; ++j) {
+    const int target = 1 + (j % 3);
+    scripts.push_back(
+        {"Chain" + std::to_string(j),
+         {"SELECT balance FROM account WHERE id = " + std::to_string(target),
+          "UPDATE account SET balance = balance + " + std::to_string(j + 1) +
+              " WHERE id = " + std::to_string(target)}});
+  }
+  Fixture serial(scripts, /*repair_threads=*/1);
+  Fixture parallel(scripts, /*repair_threads=*/8);
+  auto policy = repair::DbaPolicy::TrackEverything();
+
+  auto sa = serial.rdb->repair().Analyze();
+  ASSERT_TRUE(sa.ok());
+  auto sr = serial.rdb->repair().RepairReenact(
+      {serial.IdOf(*sa, "Attack")}, policy);
+  ASSERT_TRUE(sr.ok()) << sr.status().ToString();
+
+  auto pa = parallel.rdb->repair().Analyze();
+  ASSERT_TRUE(pa.ok());
+  fail::Registry& failpoints = fail::Registry::Instance();
+  failpoints.Arm("reenact.lane.deadlock", fail::Trigger::OneShot());
+  auto pr = parallel.rdb->repair().RepairReenact(
+      {parallel.IdOf(*pa, "Attack")}, policy);
+  const fail::SiteStats fired = failpoints.Stats("reenact.lane.deadlock");
+  failpoints.DisarmAll();
+  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
+
+  EXPECT_EQ(fired.hits, 1);
+  EXPECT_GT(pr->replay_lanes, 1);
+  EXPECT_TRUE(sr->demoted.empty());
+  EXPECT_EQ(sr->replayed, pr->replayed);
+  EXPECT_EQ(sr->demoted, pr->demoted);
+  EXPECT_EQ(sr->stmts_replayed, pr->stmts_replayed);
+  EXPECT_EQ(serial.rdb->db().StateHash({"account"}, {"trid"}),
+            parallel.rdb->db().StateHash({"account"}, {"trid"}));
 }
 
 // Repair() dispatches on DbaPolicy::strategy(): under kReenact the returned

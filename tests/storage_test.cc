@@ -1,13 +1,18 @@
 // Storage-layer tests: values, row codec, tombstone-page semantics, the
 // B+ tree (property-tested against a std::multimap oracle), the buffer
-// pool's LRU-K eviction, heap tables with primary/secondary indexes, and
-// the catalog.
+// pool's LRU-K eviction and statement-held pins, heap tables with
+// primary/secondary indexes, and the catalog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "engine/database.h"
 
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
@@ -376,6 +381,190 @@ TEST(BufferPoolTest, ShrinkingCapacityEvictsLazily) {
   pool.set_capacity(2);
   { PageGuard g = pool.Pin(owner, 100); }  // triggers evictions down to cap
   EXPECT_LE(pool.stats().resident, 2u);
+}
+
+// --- statement pins ------------------------------------------------------
+
+ResultSet MustExec(Database& db, const std::string& sql, int64_t session = 0) {
+  auto r = db.Execute(session, sql);
+  EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  return r.ok() ? std::move(r).value() : ResultSet{};
+}
+
+uint64_t PageReads(const BufferPool& pool) {
+  const BufferPoolStats st = pool.stats();
+  return st.hits + st.misses;
+}
+
+TEST(StatementPinsTest, RereadsOfAHeldPageCountAsHits) {
+  BufferPool pool;
+  const uint32_t owner = pool.RegisterOwner();
+  PagePins pins;
+  for (int i = 0; i < 5; ++i) pins.Pin(&pool, owner, 0);
+  pins.Pin(&pool, owner, 1);
+  pins.Pin(&pool, owner, 0);  // held: no second pool pin
+  EXPECT_EQ(pool.stats().pinned, 2u);
+  EXPECT_EQ(pool.stats().misses, 2u);
+  EXPECT_EQ(pool.stats().hits, 0u);  // deferred until release
+  pins.Release();
+  EXPECT_EQ(pool.stats().pinned, 0u);
+  EXPECT_EQ(pool.stats().hits, 5u);
+  EXPECT_EQ(PageReads(pool), 7u);
+}
+
+TEST(StatementPinsTest, ARereadIsOneLruKAccess) {
+  // k=2. B is touched twice around A; A is read five times by one set. One
+  // recorded access leaves A's backward 2-distance infinite, so A — not
+  // the twice-referenced B — is the victim when C arrives. Five recorded
+  // accesses would have made B (older second-to-last access) the victim.
+  BufferPool pool(/*capacity_frames=*/2, /*k=*/2);
+  const uint32_t owner = pool.RegisterOwner();
+  { PageGuard g = pool.Pin(owner, 'B'); }
+  {
+    PagePins pins;
+    for (int i = 0; i < 5; ++i) pins.Pin(&pool, owner, 'A');
+  }
+  { PageGuard g = pool.Pin(owner, 'B'); }
+  { PageGuard g = pool.Pin(owner, 'C'); }
+  EXPECT_FALSE(pool.Resident(owner, 'A'));
+  EXPECT_TRUE(pool.Resident(owner, 'B'));
+}
+
+TEST(StatementPinsTest, HoldsAtMostTheCap) {
+  BufferPool pool;
+  const uint32_t owner = pool.RegisterOwner();
+  PagePins pins;
+  const int32_t pages = 3 * static_cast<int32_t>(PagePins::kMaxHeld);
+  for (int32_t p = 0; p < pages; ++p) {
+    pins.Pin(&pool, owner, p);
+    pins.Pin(&pool, owner, p);
+    EXPECT_EQ(pool.stats().pinned,
+              std::min<size_t>(static_cast<size_t>(p) + 1, PagePins::kMaxHeld));
+  }
+  // The newest pages are still held; the oldest were unpinned past the cap.
+  pins.Pin(&pool, owner, pages - 1);
+  EXPECT_EQ(pool.stats().misses, static_cast<uint64_t>(pages));
+  pins.Release();
+  EXPECT_EQ(pool.stats().pinned, 0u);
+  EXPECT_EQ(PageReads(pool), static_cast<uint64_t>(2 * pages + 1));
+}
+
+// Through the engine: an index range scan reading N rows of one page.
+TEST(StatementPinsTest, SelectPinsEachPageOncePerStatement) {
+  Database db(FlavorTraits::Postgres());
+  BufferPool& pool = db.buffer_pool();
+  MustExec(db, "CREATE TABLE t (k INTEGER, s VARCHAR(8), PRIMARY KEY(k))");
+  MustExec(db, "CREATE TABLE u (k INTEGER)");
+  MustExec(db, "CREATE TABLE w (k INTEGER)");
+  // At capacity 1 each load evicts the previous table's page, so the
+  // loads' accesses are forgotten and u's page ends resident with one.
+  pool.set_capacity(1);
+  constexpr int kRows = 20;  // one page
+  for (int k = 1; k <= kRows; ++k) {
+    MustExec(db, "INSERT INTO t(k, s) VALUES (" + std::to_string(k) + ", 'x')");
+  }
+  MustExec(db, "INSERT INTO w(k) VALUES (1)");
+  MustExec(db, "INSERT INTO u(k) VALUES (1)");
+  pool.set_capacity(2);
+
+  const uint64_t before = PageReads(pool);
+  EXPECT_EQ(MustExec(db, "SELECT s FROM t WHERE k >= 1").rows.size(),
+            static_cast<size_t>(kRows));
+  EXPECT_EQ(PageReads(pool) - before, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(pool.stats().pinned, 0u);
+
+  // t's page holds one LRU-K access, u's page two: admitting w's page
+  // evicts t's (infinite backward distance), so u stays resident.
+  MustExec(db, "SELECT k FROM u");
+  MustExec(db, "SELECT k FROM w");
+  uint64_t misses = pool.stats().misses;
+  MustExec(db, "SELECT k FROM u");
+  EXPECT_EQ(pool.stats().misses, misses);
+  MustExec(db, "SELECT s FROM t WHERE k >= 1");
+  EXPECT_EQ(pool.stats().misses, misses + 1);
+
+  // A statement that fails mid-scan releases its pins too.
+  auto bad = db.Execute(0, "SELECT k FROM t WHERE k >= 1 AND s = 5");
+  EXPECT_FALSE(bad.ok());
+  EXPECT_EQ(pool.stats().pinned, 0u);
+  auto bad_update = db.Execute(0, "UPDATE t SET k = 0 WHERE k >= 1 AND s = 5");
+  EXPECT_FALSE(bad_update.ok());
+  EXPECT_EQ(pool.stats().pinned, 0u);
+}
+
+TEST(StatementPinsTest, RangeScanOverManyPagesStaysNearCapacity) {
+  Database db(FlavorTraits::Postgres());
+  BufferPool& pool = db.buffer_pool();
+  MustExec(db, "CREATE TABLE t (k INTEGER, pad VARCHAR(1000), PRIMARY KEY(k))");
+  constexpr size_t kCapacity = 4;
+  pool.set_capacity(kCapacity);
+  constexpr int kRows = 400;  // about 8 rows per 8 KB page
+  for (int k = 0; k < kRows; k += 20) {
+    std::string sql = "INSERT INTO t(k, pad) VALUES ";
+    for (int i = k; i < k + 20; ++i) {
+      sql += (i > k ? ", (" : "(") + std::to_string(i) + ", 'p')";
+    }
+    MustExec(db, sql);
+  }
+  const uint64_t evictions = pool.stats().evictions;
+  const uint64_t before = PageReads(pool);
+  ResultSet rs = MustExec(db, "SELECT COUNT(*) FROM t WHERE k >= 0");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0][0].as_int(), kRows);
+  EXPECT_EQ(PageReads(pool) - before, static_cast<uint64_t>(kRows));
+  const BufferPoolStats st = pool.stats();
+  EXPECT_GT(st.evictions, evictions);
+  EXPECT_LE(st.resident, kCapacity + PagePins::kMaxHeld);
+  EXPECT_EQ(st.pinned, 0u);
+}
+
+TEST(StatementPinsTest, ConcurrentJoinsCountEveryPageRead) {
+  Database db(FlavorTraits::Postgres());
+  MustExec(db, "CREATE TABLE ol (w INTEGER, o INTEGER, n INTEGER, "
+               "item INTEGER, PRIMARY KEY(w, o, n))");
+  MustExec(db, "CREATE TABLE st (w INTEGER, item INTEGER, qty INTEGER, "
+               "PRIMARY KEY(w, item))");
+  for (int item = 1; item <= 40; ++item) {
+    MustExec(db, "INSERT INTO st(w, item, qty) VALUES (1, " +
+                     std::to_string(item) + ", " + std::to_string(item) + ")");
+  }
+  for (int o = 1; o <= 20; ++o) {
+    for (int n = 1; n <= 5; ++n) {
+      MustExec(db, "INSERT INTO ol(w, o, n, item) VALUES (1, " +
+                       std::to_string(o) + ", " + std::to_string(n) + ", " +
+                       std::to_string((o * 7 + n) % 40 + 1) + ")");
+    }
+  }
+  const std::string join =
+      "SELECT COUNT(DISTINCT st.item) FROM ol, st WHERE ol.w = 1 AND "
+      "ol.o >= 5 AND st.w = ol.w AND st.item = ol.item AND qty < 30";
+  BufferPool& pool = db.buffer_pool();
+  uint64_t before = PageReads(pool);
+  const ResultSet expect = MustExec(db, join);
+  const uint64_t per_stmt = PageReads(pool) - before;
+  ASSERT_GT(per_stmt, 100u);  // 80 order lines plus their stock probes
+
+  constexpr int kThreads = 4;
+  constexpr int kIters = 25;
+  before = PageReads(pool);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const int64_t session = db.OpenSession();
+      for (int i = 0; i < kIters; ++i) {
+        auto r = db.Execute(session, join);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        if (r.ok()) {
+          EXPECT_EQ(r->rows, expect.rows);
+        }
+      }
+      db.CloseSession(session);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(PageReads(pool) - before,
+            static_cast<uint64_t>(kThreads * kIters) * per_stmt);
+  EXPECT_EQ(pool.stats().pinned, 0u);
 }
 
 // --- Page: tombstone-slot semantics --------------------------------------

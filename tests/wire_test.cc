@@ -28,7 +28,9 @@ TEST(ProtocolTest, ValueCodecRoundTrip) {
     auto back = DecodeValue(EncodeValue(v));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, v);
-    if (v.is_double()) EXPECT_EQ(back->as_double(), v.as_double());
+    if (v.is_double()) {
+      EXPECT_EQ(back->as_double(), v.as_double());
+    }
   }
 }
 

@@ -46,6 +46,6 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 out="${2:-$repo/BENCH_$name.json}"
 
 cmake -B "$repo/build" -S "$repo" >/dev/null
-cmake --build "$repo/build" --target "$target" -j >/dev/null
+cmake --build "$repo/build" --target "$target" -j"$(nproc)" >/dev/null
 
 "$repo/build/bench/$target" --out="$out"

@@ -53,7 +53,7 @@ run_config() {
   local build_dir="$1"; shift
   local label="$1"; shift
   cmake -B "$build_dir" -S "$repo" "$@" >/dev/null
-  cmake --build "$build_dir" --target chaos_test -j >/dev/null
+  cmake --build "$build_dir" --target chaos_test -j"$(nproc)" >/dev/null
   for profile in "${profiles[@]}"; do
     for ((i = 0; i < num_seeds; ++i)); do
       seed=$((base_seed + i))
@@ -69,7 +69,7 @@ run_config "$repo/build-asan" "asan" -DIRDB_SANITIZE=address
 
 echo "[tsan] parallel repair + net front-end + lock manager + quarantine + storage + reenact + shard under ThreadSanitizer"
 cmake -B "$repo/build-tsan" -S "$repo" -DIRDB_SANITIZE=thread >/dev/null
-cmake --build "$repo/build-tsan" --target parallel_repair_test obs_test net_test concurrency_test quarantine_test storage_test reenact_test shard_test chaos_test -j >/dev/null
+cmake --build "$repo/build-tsan" --target parallel_repair_test obs_test net_test concurrency_test quarantine_test storage_test reenact_test shard_test chaos_test -j"$(nproc)" >/dev/null
 (cd "$repo/build-tsan" && ctest -L 'parallel|net|concurrency|storage|reenact|shard' --output-on-failure)
 for profile in "${profiles[@]}"; do
   echo "[tsan] profile=$profile seed=$base_seed"
