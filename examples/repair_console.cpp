@@ -94,17 +94,14 @@ int main() {
     } else if (cmd == "dot") {
       std::fputs(session.Dot().c_str(), stdout);
     } else if (cmd == "repair") {
-      std::set<int64_t> undo = session.Perimeter();
-      repair::RepairReport report;
-      auto st = repair::Compensate(session.analysis(), undo,
-                                   rdb.repair().admin(), rdb.db().traits(),
-                                   &report);
-      if (!st.ok()) {
-        std::printf("repair failed: %s\n", st.ToString().c_str());
+      auto report = rdb.repair().CompensateUndoSet(session.analysis(),
+                                                   session.Perimeter());
+      if (!report.ok()) {
+        std::printf("repair failed: %s\n", report.status().ToString().c_str());
       } else {
         std::printf("undid %zu transactions (%lld compensating statements)\n",
-                    report.undo_set.size(),
-                    static_cast<long long>(report.ops_compensated));
+                    report->undo_set.size(),
+                    static_cast<long long>(report->ops_compensated));
       }
     } else {
       std::printf("unknown command: %s\n", cmd.c_str());

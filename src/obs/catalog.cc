@@ -341,8 +341,7 @@ const std::vector<SpanDoc>& SpanCatalog() {
        "Selective-undo execution (compensating statements); args: stmts, "
        "lanes."},
       {span::kRepairCompensateLane,
-       "One per-table compensation batch lane (threads > 1); args: lane, "
-       "tables, stmts."},
+       "One per-table compensation batch lane; args: lane, tables, stmts."},
       {span::kReenact,
        "Whole reenactment repair: analyze + closure + compensate + replay. "
        "Parent of the repair-phase spans and the replay span; args: seeds, "

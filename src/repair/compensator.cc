@@ -1,16 +1,17 @@
 #include "repair/compensator.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <map>
 #include <memory>
 #include <thread>
 
+#include "concurrency/lock_manager.h"
 #include "engine/database.h"
 #include "obs/catalog.h"
-#include "storage/bptree.h"
 #include "obs/trace.h"
+#include "storage/bptree.h"
 #include "proxy/rewriter.h"
 #include "sql/ast.h"
 #include "sql/printer.h"
@@ -19,6 +20,10 @@
 namespace irdb::repair {
 
 namespace {
+
+// Whole-transaction attempts RunRepairTxn makes before giving up on a
+// transaction that keeps losing deadlocks.
+constexpr int kRepairTxnAttempts = 4;
 
 // Per-table old→new row-ID remapping with chain chasing (a repaired row can
 // be re-inserted more than once if several of its writers are undone).
@@ -91,20 +96,20 @@ sql::ExprPtr RowPredicate(
   return where;
 }
 
-// Emits and executes the compensating statement for one op. Shared by the
-// serial walk and each parallel table batch: both feed it ops in inverse log
-// order, with a remap that has seen every earlier op of the same table.
-// `key_literals` (nullable) adds PK conjuncts via RowPredicate.
-Status CompensateOp(const RepairOp& op, DbConnection* admin,
+// Emits and executes the compensating statement for one op. Batches feed it
+// their ops in inverse log order, with a remap that has seen every earlier
+// op of the same table. `key_literals` (nullable) adds PK conjuncts via
+// RowPredicate.
+Status CompensateOp(const RepairOp& op, DbConnection* conn,
                     const FlavorTraits& traits,
                     const std::string& address_column, RowIdRemap* remap,
                     RepairReport* report,
                     const std::vector<std::pair<std::string, Value>>*
-                        key_literals = nullptr) {
+                        key_literals) {
   const std::string table_key = ToLowerAscii(op.table);
   auto run = [&](const sql::Statement& stmt,
                  int64_t expect_affected) -> Status {
-    auto r = admin->Execute(sql::PrintStatement(stmt));
+    auto r = conn->Execute(sql::PrintStatement(stmt));
     if (!r.ok()) return r.status();
     if (expect_affected >= 0 && r->affected != expect_affected) {
       return Status::Internal("compensating statement touched " +
@@ -143,7 +148,7 @@ Status CompensateOp(const RepairOp& op, DbConnection* admin,
         row.push_back(sql::MakeLiteral(v));
       }
       stmt->insert_rows.push_back(std::move(row));
-      auto r = admin->Execute(sql::PrintStatement(*stmt));
+      auto r = conn->Execute(sql::PrintStatement(*stmt));
       if (!r.ok()) return r.status();
       ++report->ops_compensated;
       ++report->compensating_inserts;
@@ -176,183 +181,34 @@ Status CompensateOp(const RepairOp& op, DbConnection* admin,
   return Status::Ok();
 }
 
-}  // namespace
-
-namespace {
-
-// Multi-lane compensation with one private engine session per table batch.
-// Each lane brackets its own transaction, so lanes never serialize on a
-// shared session (the admin session's statement mutex would otherwise turn
-// the "parallel" walk into a serial one — on a disk-bound engine the stall
-// charges only overlap across sessions). Mirrors the RepairOnline lane
-// loop: gate-exempt connection, bounded deadlock retries, first failing
-// lane in deterministic batch order wins.
-Status CompensateLanes(const DependencyAnalysis& analysis,
-                       const std::set<int64_t>& undo_proxy_ids, Database* db,
-                       const FlavorTraits& traits, RepairReport* report,
-                       util::ThreadPool* pool) {
-  IRDB_ASSIGN_OR_RETURN(std::vector<CompensationBatch> batches,
-                        BuildCompensationBatches(analysis, undo_proxy_ids));
-  report->compensate_lanes = std::max<int>(1, static_cast<int>(batches.size()));
-  std::vector<Status> lane_status(batches.size(), Status::Ok());
-  std::vector<RepairReport> lane_report(batches.size());
-  std::atomic<bool> abort{false};
-  auto run_lane = [&](size_t idx) {
-    if (abort.load(std::memory_order_relaxed)) return;
-    const CompensationBatch& batch = batches[idx];
-    obs::Span lane_span(obs::span::kRepairCompensateLane);
-    lane_span.AddArg("lane", static_cast<int64_t>(idx));
-    lane_span.AddArg("tables", 1);
-    lane_span.AddArg("stmts", static_cast<int64_t>(batch.ops.size()));
-    Status st = Status::Ok();
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      DirectConnection conn(db);
-      db->SetSessionQuarantineExempt(conn.session_id(), true);
-      lane_report[idx] = RepairReport{};
-      auto begin = conn.Execute("BEGIN");
-      if (!begin.ok()) {
-        st = begin.status();
-        break;
-      }
-      st = CompensateBatch(batch, &conn, traits, &lane_report[idx]);
-      if (st.ok()) {
-        auto commit = conn.Execute("COMMIT");
-        st = commit.ok() ? Status::Ok() : commit.status();
-      } else {
-        (void)conn.Execute("ROLLBACK");
-      }
-      if (st.ok() || st.code() != StatusCode::kAborted) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1 + attempt));
-    }
-    lane_status[idx] = st;
-    if (!st.ok()) abort.store(true, std::memory_order_relaxed);
-  };
-  std::vector<std::future<void>> pending;
-  pending.reserve(batches.size());
-  for (size_t i = 0; i < batches.size(); ++i) {
-    pending.push_back(pool->Submit([&, i] { run_lane(i); }));
-  }
-  for (std::future<void>& f : pending) f.wait();
-  for (const RepairReport& part : lane_report) {
-    report->ops_compensated += part.ops_compensated;
-    report->compensating_inserts += part.compensating_inserts;
-    report->compensating_deletes += part.compensating_deletes;
-    report->compensating_updates += part.compensating_updates;
-    report->rows_remapped += part.rows_remapped;
-  }
-  for (const Status& st : lane_status) {
-    if (!st.ok()) return st;
+// Applies one batch through `conn`, inside the caller's transaction.
+Status CompensateBatch(const CompensationBatch& batch, DbConnection* conn,
+                       const FlavorTraits& traits, RepairReport* report) {
+  const std::string address_column =
+      traits.has_rowid ? traits.rowid_name : proxy::kSybaseRowIdColumn;
+  RowIdRemap remap;
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    const std::vector<std::pair<std::string, Value>>* key = nullptr;
+    if (i < batch.keys.size() && !batch.keys[i].empty()) key = &batch.keys[i];
+    IRDB_RETURN_IF_ERROR(CompensateOp(*batch.ops[i], conn, traits,
+                                      address_column, &remap, report, key));
   }
   return Status::Ok();
 }
 
 }  // namespace
 
-Status Compensate(const DependencyAnalysis& analysis,
-                  const std::set<int64_t>& undo_proxy_ids, DbConnection* admin,
-                  const FlavorTraits& traits, RepairReport* report,
-                  util::ThreadPool* pool, Database* db) {
-  report->undo_set = undo_proxy_ids;
-
-  if (pool != nullptr && pool->lanes() > 1 && db != nullptr) {
-    return CompensateLanes(analysis, undo_proxy_ids, db, traits, report, pool);
-  }
-
-  // Internal IDs of the transactions to undo.
-  std::set<int64_t> undo_internal;
-  for (int64_t proxy_id : undo_proxy_ids) {
-    auto it = analysis.proxy_to_internal.find(proxy_id);
-    if (it == analysis.proxy_to_internal.end()) {
-      return Status::NotFound("proxy transaction " + std::to_string(proxy_id) +
-                              " not found in the log");
-    }
-    undo_internal.insert(it->second);
-  }
-
-  const std::string address_column =
-      traits.has_rowid ? traits.rowid_name : proxy::kSybaseRowIdColumn;
-
-  // The plan: every op to undo, in inverse log order.
-  std::vector<const RepairOp*> plan;
-  for (auto it = analysis.ops.rbegin(); it != analysis.ops.rend(); ++it) {
-    if (undo_internal.count(it->internal_txn_id)) plan.push_back(&*it);
-  }
-
-  {
-    auto r = admin->Execute("BEGIN");
-    if (!r.ok()) return r.status();
-  }
-
-  if (pool == nullptr || pool->lanes() <= 1) {
-    RowIdRemap remap;
-    for (const RepairOp* op : plan) {
-      IRDB_RETURN_IF_ERROR(
-          CompensateOp(*op, admin, traits, address_column, &remap, report));
-    }
-  } else {
-    // Batched compensation: every compensating statement addresses rows by
-    // row ID within a single table, and the remap is keyed per table, so the
-    // plan splits into per-table batches — inverse-LSN order preserved
-    // *within* each batch — whose row-id sets cannot overlap across tables.
-    // The batches therefore commute and run concurrently, one lane per
-    // table, each with its own remap and partial report (merged below).
-    std::map<std::string, std::vector<const RepairOp*>> batches;
-    for (const RepairOp* op : plan) {
-      batches[ToLowerAscii(op->table)].push_back(op);
-    }
-    report->compensate_lanes = static_cast<int>(batches.size());
-    std::vector<Status> lane_status(batches.size(), Status::Ok());
-    std::vector<RepairReport> lane_report(batches.size());
-    std::atomic<bool> abort{false};
-    std::vector<std::future<void>> pending;
-    pending.reserve(batches.size());
-    size_t lane = 0;
-    for (auto& [table, batch_ops] : batches) {
-      const size_t idx = lane++;
-      const std::vector<const RepairOp*>* batch = &batch_ops;
-      pending.push_back(pool->Submit([&, idx, batch] {
-        obs::Span lane_span(obs::span::kRepairCompensateLane);
-        lane_span.AddArg("lane", static_cast<int64_t>(idx));
-        lane_span.AddArg("tables", 1);
-        lane_span.AddArg("stmts", static_cast<int64_t>(batch->size()));
-        RowIdRemap remap;
-        for (const RepairOp* op : *batch) {
-          if (abort.load(std::memory_order_relaxed)) return;
-          Status s = CompensateOp(*op, admin, traits, address_column, &remap,
-                                  &lane_report[idx]);
-          if (!s.ok()) {
-            lane_status[idx] = std::move(s);
-            abort.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      }));
-    }
-    for (std::future<void>& f : pending) f.wait();
-    for (const RepairReport& part : lane_report) {
-      report->ops_compensated += part.ops_compensated;
-      report->compensating_inserts += part.compensating_inserts;
-      report->compensating_deletes += part.compensating_deletes;
-      report->compensating_updates += part.compensating_updates;
-      report->rows_remapped += part.rows_remapped;
-    }
-    // First failing table in (deterministic) batch order wins.
-    for (const Status& s : lane_status) {
-      if (!s.ok()) return s;
-    }
-  }
-
-  {
-    auto r = admin->Execute("COMMIT");
-    if (!r.ok()) return r.status();
-  }
-  return Status::Ok();
+void RepairReport::Add(const RepairReport& part) {
+  ops_compensated += part.ops_compensated;
+  compensating_inserts += part.compensating_inserts;
+  compensating_deletes += part.compensating_deletes;
+  compensating_updates += part.compensating_updates;
+  rows_remapped += part.rows_remapped;
 }
 
 Result<std::vector<CompensationBatch>> BuildCompensationBatches(
     const DependencyAnalysis& analysis, const std::set<int64_t>& undo_proxy_ids,
-    const std::map<const RepairOp*,
-                   std::vector<std::pair<std::string, Value>>>* op_keys) {
+    const OpKeyMap* op_keys) {
   std::set<int64_t> undo_internal;
   for (int64_t proxy_id : undo_proxy_ids) {
     auto it = analysis.proxy_to_internal.find(proxy_id);
@@ -382,16 +238,62 @@ Result<std::vector<CompensationBatch>> BuildCompensationBatches(
   return out;
 }
 
-Status CompensateBatch(const CompensationBatch& batch, DbConnection* admin,
-                       const FlavorTraits& traits, RepairReport* report) {
-  const std::string address_column =
-      traits.has_rowid ? traits.rowid_name : proxy::kSybaseRowIdColumn;
-  RowIdRemap remap;
-  for (size_t i = 0; i < batch.ops.size(); ++i) {
-    const std::vector<std::pair<std::string, Value>>* key = nullptr;
-    if (i < batch.keys.size() && !batch.keys[i].empty()) key = &batch.keys[i];
-    IRDB_RETURN_IF_ERROR(CompensateOp(*batch.ops[i], admin, traits,
-                                      address_column, &remap, report, key));
+Status RunRepairTxn(Database* db,
+                    const std::function<Status(DbConnection*)>& body) {
+  Status st = Status::Ok();
+  for (int attempt = 0; attempt < kRepairTxnAttempts; ++attempt) {
+    if (attempt > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(attempt));
+    }
+    DirectConnection conn(db);
+    db->SetSessionQuarantineExempt(conn.session_id(), true);
+    auto begin = conn.Execute("BEGIN");
+    if (!begin.ok()) return begin.status();
+    st = body(&conn);
+    if (st.ok()) {
+      auto commit = conn.Execute("COMMIT");
+      if (commit.ok()) return Status::Ok();
+      st = commit.status();
+    } else {
+      (void)conn.Execute("ROLLBACK");
+    }
+    if (!concurrency::IsDeadlockAbort(st)) return st;
+  }
+  return st;
+}
+
+Status CompensateLanes(Database* db,
+                       const std::vector<CompensationBatch>& batches,
+                       util::ThreadPool* pool, RepairReport* report,
+                       const LaneCommitHook& on_commit) {
+  std::vector<Status> lane_status(batches.size(), Status::Ok());
+  std::vector<RepairReport> lane_report(batches.size());
+  auto run_lane = [&](size_t idx) {
+    const CompensationBatch& batch = batches[idx];
+    obs::Span lane_span(obs::span::kRepairCompensateLane);
+    lane_span.AddArg("lane", static_cast<int64_t>(idx));
+    lane_span.AddArg("tables", 1);
+    lane_span.AddArg("stmts", static_cast<int64_t>(batch.ops.size()));
+    lane_status[idx] = RunRepairTxn(db, [&](DbConnection* conn) {
+      lane_report[idx] = RepairReport{};  // a retry starts the count over
+      return CompensateBatch(batch, conn, db->traits(), &lane_report[idx]);
+    });
+    if (lane_status[idx].ok() && on_commit) on_commit(batch);
+  };
+  if (pool != nullptr && pool->lanes() > 1 && batches.size() > 1) {
+    std::vector<std::future<void>> pending;
+    pending.reserve(batches.size());
+    for (size_t i = 0; i < batches.size(); ++i) {
+      pending.push_back(pool->Submit([&, i] { run_lane(i); }));
+    }
+    for (std::future<void>& f : pending) f.wait();
+  } else {
+    for (size_t i = 0; i < batches.size(); ++i) run_lane(i);
+  }
+  for (const RepairReport& part : lane_report) report->Add(part);
+  report->compensate_lanes = std::max<int>(1, static_cast<int>(batches.size()));
+  for (const Status& st : lane_status) {
+    if (!st.ok()) return st;
   }
   return Status::Ok();
 }

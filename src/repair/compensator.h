@@ -1,15 +1,23 @@
 // Compensator — selective undo of committed transactions (§3.3).
 //
 // Walks the reconstructed log backwards; for every row operation belonging
-// to a transaction in the undo set it executes the compensating statement
-// immediately: DELETE→INSERT, INSERT→DELETE, UPDATE→reverse UPDATE, each
-// addressed by row ID. Rows re-inserted during repair receive fresh row IDs,
-// so an old→new row-ID mapping is maintained per table and consulted by all
-// subsequent compensating statements; the mapping is discarded when the
-// row's original INSERT log entry is reached.
+// to a transaction in the undo set it executes the compensating statement:
+// DELETE→INSERT, INSERT→DELETE, UPDATE→reverse UPDATE, each addressed by row
+// ID. Rows re-inserted during repair receive fresh row IDs, so an old→new
+// row-ID mapping is maintained per table and consulted by all subsequent
+// compensating statements; the mapping is discarded when the row's original
+// INSERT log entry is reached.
+//
+// Compensating statements address rows within a single table and the remap
+// is per table, so the walk splits into per-table batches (inverse log order
+// kept within each) that touch disjoint row sets and commute. Every repair
+// strategy applies them through one lane runner, CompensateLanes: one
+// transaction per table on its own quarantine-exempt session, at every
+// thread count.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -18,6 +26,7 @@
 
 #include "flavor/flavor_traits.h"
 #include "repair/analyzer.h"
+#include "util/thread_pool.h"
 #include "wire/connection.h"
 
 namespace irdb::repair {
@@ -29,37 +38,21 @@ struct RepairReport {
   int64_t compensating_deletes = 0;
   int64_t compensating_updates = 0;
   int64_t rows_remapped = 0;
-  int compensate_lanes = 1;  // concurrent per-table batches (1 when serial)
+  int compensate_lanes = 1;  // per-table compensation transactions
+
+  // Adds `part`'s statement counts (not its undo set or lane count).
+  void Add(const RepairReport& part);
 };
 
-// Executes the compensation through `admin` (an untracked connection),
-// wrapped in a single repair transaction. `undo_proxy_ids` must be closed
-// under the chosen dependency semantics — Compensate does not re-derive it.
-//
-// A multi-lane `pool` batches the plan per table and applies the batches
-// concurrently: compensating statements address rows by row ID within one
-// table (and the old→new remap is per table), so batches of distinct tables
-// touch disjoint row sets and commute; inverse-LSN order is preserved where
-// it matters — within each table. The resulting database state is identical
-// to the serial walk's.
-//
-// When `db` is also given, each lane runs as its own transaction on a
-// private gate-exempt engine session instead of sharing `admin` — the
-// shared session's statement mutex would serialize the lanes (on the
-// disk-bound I/O model, stall charges only overlap across sessions). The
-// trade: the repair is no longer one atomic transaction; a lane that fails
-// leaves the other tables' (committed, commuting) compensation in place,
-// the same per-lane semantics RepairOnline has always had. Without `db`
-// the single-transaction shared-session walk is used.
-Status Compensate(const DependencyAnalysis& analysis,
-                  const std::set<int64_t>& undo_proxy_ids, DbConnection* admin,
-                  const FlavorTraits& traits, RepairReport* report,
-                  util::ThreadPool* pool = nullptr, Database* db = nullptr);
+// Primary-key literals per undone op (pointers into
+// DependencyAnalysis::ops). Populated only for key-sliced tables, where
+// no undone op rewrote a primary key — so the annotated key is stable for
+// the whole lane.
+using OpKeyMap =
+    std::map<const RepairOp*, std::vector<std::pair<std::string, Value>>>;
 
 // One per-table compensation batch: the table's undone ops in inverse log
-// order. Per-table batches address disjoint row sets and commute (the same
-// argument that parallelizes Compensate), so online repair runs each in its
-// own transaction and releases the table's quarantine slices at its commit.
+// order.
 struct CompensationBatch {
   std::string table;  // lower-cased catalog name
   std::vector<const RepairOp*> ops;
@@ -71,18 +64,37 @@ struct CompensationBatch {
   std::vector<std::vector<std::pair<std::string, Value>>> keys;
 };
 
-// Splits the undo set into per-table batches; `op_keys` (optional) supplies
-// the PK literals per op (repair/quarantine.h's OpKeyMap). Fails when a
+// Splits the undo set into per-table batches in table-name order;
+// `op_keys` (optional) supplies the PK literals per op (online repair's
+// contaminated partition). `undo_proxy_ids` must be closed under the chosen
+// dependency semantics — the batches do not re-derive it. Fails when a
 // proxy id is missing from the log.
 Result<std::vector<CompensationBatch>> BuildCompensationBatches(
     const DependencyAnalysis& analysis, const std::set<int64_t>& undo_proxy_ids,
-    const std::map<const RepairOp*,
-                   std::vector<std::pair<std::string, Value>>>* op_keys =
-        nullptr);
+    const OpKeyMap* op_keys = nullptr);
 
-// Applies one batch through `admin`. The caller brackets the transaction
-// (BEGIN before, COMMIT after) — online repair holds one per lane.
-Status CompensateBatch(const CompensationBatch& batch, DbConnection* admin,
-                       const FlavorTraits& traits, RepairReport* report);
+// Runs `body` as one transaction on a fresh quarantine-exempt session:
+// BEGIN → body → COMMIT, or ROLLBACK when the body fails. A transaction
+// that loses a deadlock (concurrency::IsDeadlockAbort) is retried whole on
+// a new session, up to 4 attempts in all; any other failure is returned at
+// once. Repair's compensation lanes and reenactment's replay both run
+// through it.
+Status RunRepairTxn(Database* db,
+                    const std::function<Status(DbConnection*)>& body);
+
+// Called on the lane's thread right after its transaction commits.
+using LaneCommitHook = std::function<void(const CompensationBatch&)>;
+
+// The lane runner: applies each batch as its own RunRepairTxn transaction —
+// concurrently on a multi-lane `pool`, otherwise inline in batch order —
+// and calls `on_commit` (may be empty) after each lane commits. Every lane
+// runs to its commit or rollback whatever the others do, so a failure
+// leaves exactly the failing tables uncompensated at any thread count.
+// Lane reports merge into `report`; the first failing lane's status in
+// batch order is returned.
+Status CompensateLanes(Database* db,
+                       const std::vector<CompensationBatch>& batches,
+                       util::ThreadPool* pool, RepairReport* report,
+                       const LaneCommitHook& on_commit = {});
 
 }  // namespace irdb::repair

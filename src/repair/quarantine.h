@@ -24,15 +24,9 @@
 #include "concurrency/quarantine.h"
 #include "engine/database.h"
 #include "repair/analyzer.h"
+#include "repair/compensator.h"
 
 namespace irdb::repair {
-
-// Primary-key literals per undone op (pointers into
-// DependencyAnalysis::ops). Populated only for key-sliced tables, where
-// no undone op rewrote a primary key — so the annotated key is stable for
-// the whole lane.
-using OpKeyMap =
-    std::map<const RepairOp*, std::vector<std::pair<std::string, Value>>>;
 
 struct ContaminatedPartition {
   // Rejection fence, ready for QuarantineManager::Add. Proxy-metadata

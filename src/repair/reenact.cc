@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <thread>
 
 #include "concurrency/lock_manager.h"
 #include "engine/database.h"
@@ -161,28 +160,22 @@ enum class ReplayResult { kCommitted, kDiverged, kDeadlocked, kFailed };
 // it, so tests can force the lost-race path on every run.
 constexpr const char* kLaneDeadlockFailpoint = "reenact.lane.deadlock";
 
-// Re-executes one transaction's journaled statements in a fresh transaction
-// on its own connection. Divergence = statement error or row-count
-// fingerprint mismatch (rolls back, no retry — the mismatch is a property
-// of the corrected state, not of scheduling). Deadlock aborts retry the
-// whole transaction bounded, mirroring RepairOnline's lanes.
+// Re-executes one transaction's journaled statements as one RunRepairTxn
+// transaction. Divergence = statement error or row-count fingerprint
+// mismatch: the transaction rolls back without a retry — the mismatch is a
+// property of the corrected state, not of scheduling. Deadlock aborts retry
+// the whole transaction, bounded, like the compensation lanes.
 ReplayResult ReplayOneTxn(Database* db, const std::vector<StmtRecord>& stmts,
                           int64_t* stmts_replayed) {
-  static constexpr int kMaxAttempts = 4;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    DirectConnection conn(db);
-    db->SetSessionQuarantineExempt(conn.session_id(), true);
-    auto begin = conn.Execute("BEGIN");
-    if (!begin.ok()) return ReplayResult::kFailed;
-    Status st = Status::Ok();
-    bool diverged = false;
-    int64_t replayed_here = 0;
+  bool diverged = false;
+  int64_t replayed_here = 0;
+  const Status st = RunRepairTxn(db, [&](DbConnection* conn) -> Status {
+    replayed_here = 0;
     for (const StmtRecord& rec : stmts) {
-      auto res = conn.Execute(std::string_view(rec.text));
+      auto res = conn->Execute(std::string_view(rec.text));
       if (!res.ok()) {
-        st = res.status();
-        if (!concurrency::IsDeadlockAbort(st)) diverged = true;
-        break;
+        diverged = !concurrency::IsDeadlockAbort(res.status());
+        return res.status();
       }
       const int64_t got = rec.is_select
                               ? static_cast<int64_t>(res->rows.size())
@@ -191,28 +184,19 @@ ReplayResult ReplayOneTxn(Database* db, const std::vector<StmtRecord>& stmts,
                                          : rec.rows_affected;
       if (got != want) {
         diverged = true;
-        break;
+        return Status::Internal("replay fingerprint mismatch");
       }
       ++replayed_here;
     }
-    if (diverged) {
-      (void)conn.Execute("ROLLBACK");
-      return ReplayResult::kDiverged;
-    }
-    if (st.ok()) {
-      auto commit = conn.Execute("COMMIT");
-      if (commit.ok()) {
-        *stmts_replayed += replayed_here;
-        return ReplayResult::kCommitted;
-      }
-      st = commit.status();
-    } else {
-      (void)conn.Execute("ROLLBACK");
-    }
-    if (!concurrency::IsDeadlockAbort(st)) return ReplayResult::kFailed;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1 + attempt));
+    return Status::Ok();
+  });
+  if (st.ok()) {
+    *stmts_replayed += replayed_here;
+    return ReplayResult::kCommitted;
   }
-  return ReplayResult::kDeadlocked;
+  if (diverged) return ReplayResult::kDiverged;
+  return concurrency::IsDeadlockAbort(st) ? ReplayResult::kDeadlocked
+                                          : ReplayResult::kFailed;
 }
 
 }  // namespace

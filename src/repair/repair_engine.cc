@@ -4,14 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
-#include <map>
 #include <thread>
 
 #include "obs/catalog.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
-#include "util/string_utils.h"
 
 namespace irdb::repair {
 
@@ -136,64 +133,52 @@ std::set<int64_t> RepairEngine::ComputeUndoSet(
 
 Result<RepairReport> RepairEngine::CompensateUndoSet(
     const DependencyAnalysis& analysis, const std::set<int64_t>& undo) {
-  obs::Span span(obs::span::kRepairCompensate);
+  IRDB_ASSIGN_OR_RETURN(std::vector<CompensationBatch> batches,
+                        BuildCompensationBatches(analysis, undo));
   RepairReport report;
-  IRDB_RETURN_IF_ERROR(Compensate(analysis, undo, &admin_, db_->traits(),
-                                  &report, pool_.get(), db_));
-  span.AddArg("stmts", report.ops_compensated);
-  span.AddArg("lanes", report.compensate_lanes);
+  report.undo_set = undo;
+  IRDB_RETURN_IF_ERROR(RunCompensation(batches, &report));
+  return report;
+}
+
+Status RepairEngine::RunCompensation(
+    const std::vector<CompensationBatch>& batches, RepairReport* report,
+    const LaneCommitHook& on_commit) {
+  obs::Span span(obs::span::kRepairCompensate);
+  IRDB_RETURN_IF_ERROR(
+      CompensateLanes(db_, batches, pool_.get(), report, on_commit));
+  span.AddArg("stmts", report->ops_compensated);
+  span.AddArg("lanes", report->compensate_lanes);
   const double wall_ms = span.End();
   phases_.compensate_wall_ms += wall_ms;
-  phases_.compensate_lanes = report.compensate_lanes;
-  phases_.compensate_stmts += report.ops_compensated;
+  phases_.compensate_lanes = report->compensate_lanes;
+  phases_.compensate_stmts += report->ops_compensated;
   obs::Count(obs::Metrics::Get().repair_compensate_us,
              std::llround(wall_ms * 1000.0));
-  obs::Count(obs::Metrics::Get().repair_compensations, report.ops_compensated);
+  obs::Count(obs::Metrics::Get().repair_compensations,
+             report->ops_compensated);
 
   // Simulated compensation charge: one random page read + log append per
-  // compensating statement. The parallel path runs one lane per table, so
-  // its charge is the makespan of the per-table batch costs over `threads_`
-  // lanes under the deterministic longest-batch-first assignment; the serial
-  // path pays the sum.
-  std::set<int64_t> undo_internal;
-  for (int64_t proxy_id : undo) {
-    auto it = analysis.proxy_to_internal.find(proxy_id);
-    if (it != analysis.proxy_to_internal.end()) undo_internal.insert(it->second);
+  // compensating statement. Each table's batch is one lane, so the charge
+  // is the makespan of the batch costs over `threads_` workers under the
+  // deterministic longest-batch-first assignment — the sum at threads=1.
+  std::vector<size_t> sizes;
+  for (const CompensationBatch& b : batches) sizes.push_back(b.ops.size());
+  std::sort(sizes.rbegin(), sizes.rend());
+  std::vector<double> lane_s(static_cast<size_t>(threads_), 0.0);
+  for (size_t n : sizes) {
+    auto lane = std::min_element(lane_s.begin(), lane_s.end());
+    *lane += static_cast<double>(n) * costs_.compensate_stmt_seconds;
   }
-  std::map<std::string, int64_t> stmts_per_table;
-  for (const RepairOp& op : analysis.ops) {
-    if (undo_internal.count(op.internal_txn_id)) {
-      ++stmts_per_table[ToLowerAscii(op.table)];
-    }
-  }
-  double sim_s = 0;
-  if (threads_ <= 1) {
-    for (const auto& [table, n] : stmts_per_table) {
-      sim_s += static_cast<double>(n) * costs_.compensate_stmt_seconds;
-    }
-  } else {
-    std::vector<std::pair<int64_t, std::string>> batches;
-    for (const auto& [table, n] : stmts_per_table) batches.emplace_back(n, table);
-    std::sort(batches.begin(), batches.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first > b.first
-                                          : a.second < b.second;
-              });
-    std::vector<double> lane_s(static_cast<size_t>(threads_), 0.0);
-    for (const auto& [n, table] : batches) {
-      auto lane = std::min_element(lane_s.begin(), lane_s.end());
-      *lane += static_cast<double>(n) * costs_.compensate_stmt_seconds;
-    }
-    sim_s = *std::max_element(lane_s.begin(), lane_s.end());
-  }
+  const double sim_s = *std::max_element(lane_s.begin(), lane_s.end());
   phases_.compensate_sim_ms += sim_s * 1000.0;
   obs::Count(obs::Metrics::Get().repair_compensate_sim_us,
              std::llround(sim_s * 1000.0 * 1000.0));
   obs::EventJournal::Default().Append(
       obs::event::kRepairDone,
-      {{"undone", std::to_string(undo.size())},
-       {"stmts", std::to_string(report.ops_compensated)}});
-  return report;
+      {{"undone", std::to_string(report->undo_set.size())},
+       {"stmts", std::to_string(report->ops_compensated)}});
+  return Status::Ok();
 }
 
 Result<OnlineRepairReport> RepairEngine::RepairOnline(
@@ -270,106 +255,44 @@ Result<OnlineRepairReport> RepairEngine::RepairOnline(
   obs::Span hold(obs::span::kQuarantineHold);
   hold.AddArg("slices", out.slices_installed);
 
-  auto batches =
-      BuildCompensationBatches(analysis, undo, &part.op_keys);
+  auto batches = BuildCompensationBatches(analysis, undo, &part.op_keys);
   if (!batches.ok()) {
     db_->quarantine().End();  // nothing compensated yet
     return batches.status();
   }
   out.lanes = static_cast<int>(batches->size());
   out.repair.undo_set = undo;
-  out.repair.compensate_lanes = std::max(1, out.lanes);
 
-  // One lane per table, each a transaction on its own gate-exempt
-  // connection; a table's slices leave the quarantine when its lane
-  // commits. Bounded deadlock retries per lane (a metadata lane's coarse
-  // lock can lose a cycle against a tracked commit); any other failure
-  // leaves the lane's tables fenced and surfaces the error.
-  std::vector<Status> lane_status(batches->size(), Status::Ok());
-  std::vector<RepairReport> lane_report(batches->size());
+  // The offline lanes, plus one thing: a table's slices leave the
+  // quarantine the moment its lane commits. A lane that fails leaves its
+  // table fenced (see header contract).
   std::atomic<int> released{0};
-  auto run_lane = [&](size_t idx) {
-    const CompensationBatch& batch = (*batches)[idx];
-    obs::Span lane_span(obs::span::kRepairCompensateLane);
-    lane_span.AddArg("lane", static_cast<int64_t>(idx));
-    lane_span.AddArg("tables", 1);
-    lane_span.AddArg("stmts", static_cast<int64_t>(batch.ops.size()));
-    Status st = Status::Ok();
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      DirectConnection conn(db_);
-      db_->SetSessionQuarantineExempt(conn.session_id(), true);
-      lane_report[idx] = RepairReport{};
-      auto begin = conn.Execute("BEGIN");
-      if (!begin.ok()) {
-        st = begin.status();
-        break;
-      }
-      st = CompensateBatch(batch, &conn, db_->traits(), &lane_report[idx]);
-      if (st.ok()) {
-        auto commit = conn.Execute("COMMIT");
-        st = commit.ok() ? Status::Ok() : commit.status();
-      } else {
-        (void)conn.Execute("ROLLBACK");
-      }
-      if (st.ok() || st.code() != StatusCode::kAborted) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1 + attempt));
-    }
-    lane_status[idx] = st;
-    if (!st.ok()) return;
-    // Healed: release the table's slices. Metadata tables were never
-    // installed, so their release count is 0 — the lane still ran.
+  auto release = [&](const CompensationBatch& batch) {
+    // Metadata tables were never installed, so their release count is 0.
     auto id = part.table_ids.find(batch.table);
-    if (id != part.table_ids.end()) {
-      obs::Span rel(obs::span::kQuarantineRelease);
-      const int n = db_->quarantine().ReleaseTable(id->second);
-      released.fetch_add(n, std::memory_order_relaxed);
-      rel.AddArg("table", batch.table);
-      rel.AddArg("slices", n);
-      if (n > 0) {
-        obs::Count(obs::Metrics::Get().repair_online_releases, n);
-        obs::EventJournal::Default().Append(
-            obs::event::kQuarantineReleased,
-            {{"table", batch.table},
-             {"slices", std::to_string(n)},
-             {"remaining",
-              std::to_string(db_->quarantine().stats().slices)}});
-      }
+    if (id == part.table_ids.end()) return;
+    obs::Span rel(obs::span::kQuarantineRelease);
+    const int n = db_->quarantine().ReleaseTable(id->second);
+    released.fetch_add(n, std::memory_order_relaxed);
+    rel.AddArg("table", batch.table);
+    rel.AddArg("slices", n);
+    if (n > 0) {
+      obs::Count(obs::Metrics::Get().repair_online_releases, n);
+      obs::EventJournal::Default().Append(
+          obs::event::kQuarantineReleased,
+          {{"table", batch.table},
+           {"slices", std::to_string(n)},
+           {"remaining", std::to_string(db_->quarantine().stats().slices)}});
     }
   };
-  if (pool_ && batches->size() > 1) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(batches->size());
-    for (size_t i = 0; i < batches->size(); ++i) {
-      pending.push_back(pool_->Submit([&, i] { run_lane(i); }));
-    }
-    for (auto& f : pending) f.wait();
-  } else {
-    for (size_t i = 0; i < batches->size(); ++i) run_lane(i);
-  }
-
-  for (const RepairReport& part_report : lane_report) {
-    out.repair.ops_compensated += part_report.ops_compensated;
-    out.repair.compensating_inserts += part_report.compensating_inserts;
-    out.repair.compensating_deletes += part_report.compensating_deletes;
-    out.repair.compensating_updates += part_report.compensating_updates;
-    out.repair.rows_remapped += part_report.rows_remapped;
-  }
+  const Status healed = RunCompensation(*batches, &out.repair, release);
   out.slices_released = released.load(std::memory_order_relaxed);
   out.rejects_during =
       db_->quarantine().stats().rejects_total - rejects_before;
   hold.AddArg("released", out.slices_released);
   hold.End();
-
-  for (const Status& st : lane_status) {
-    // First failing lane in deterministic batch order wins; unhealed
-    // tables stay quarantined (see header contract).
-    if (!st.ok()) return st;
-  }
+  IRDB_RETURN_IF_ERROR(healed);
   db_->quarantine().End();
-  obs::EventJournal::Default().Append(
-      obs::event::kRepairDone,
-      {{"undone", std::to_string(undo.size())},
-       {"stmts", std::to_string(out.repair.ops_compensated)}});
   return out;
 }
 

@@ -7,11 +7,12 @@
 //   auto undo = eng.ComputeUndoSet(*analysis, seeds, policy);
 //   auto report = eng.Repair(seeds, policy);         // selective rollback
 //
-// `threads` > 1 switches every phase to the parallel pipeline (DESIGN.md
-// §5c): segmented scan of one WAL snapshot in place, sharded dependency
-// closure, per-table batched compensation. Results are identical to
-// threads=1, which scans the same snapshot serially. Per-phase
-// wall/simulated timings accumulate in phase_stats().
+// `threads` > 1 fans every phase out over a worker pool (DESIGN.md §5c):
+// segmented scan of one WAL snapshot in place, sharded dependency closure,
+// concurrent per-table compensation lanes. Results are identical to
+// threads=1, which scans the same snapshot serially and runs the same
+// per-table lanes one after another. Per-phase wall/simulated timings
+// accumulate in phase_stats().
 #pragma once
 
 #include <memory>
@@ -62,7 +63,12 @@ class RepairEngine {
                                    const DbaPolicy& policy) const;
 
   // Compensation with phase accounting (the building block of Repair, also
-  // usable directly after an explicit Analyze/ComputeUndoSet).
+  // usable directly after an explicit Analyze/ComputeUndoSet). `undo` must
+  // be closed under the chosen dependency semantics. Each table's batch
+  // commits as its own transaction (compensator.h's CompensateLanes) at
+  // every thread count. On failure the first failing table's status in
+  // table order is returned; the failing tables are left as they were and
+  // every other table stays compensated.
   Result<RepairReport> CompensateUndoSet(const DependencyAnalysis& analysis,
                                          const std::set<int64_t>& undo);
 
@@ -91,11 +97,10 @@ class RepairEngine {
   //      holders by X-locking the slices through the lock manager →
   //      re-analyze, until the undo set is stable (writes that slipped in
   //      before the fence are caught by the next round).
-  //   2. Heal: one compensation lane per table, each its own transaction on
-  //      its own gate-exempt connection (per-table batches commute — the
-  //      same argument that parallelizes offline Compensate). Compensating
-  //      WHEREs carry PK literals where known, so lanes take key locks and
-  //      clean keys of a partially contaminated table stay available.
+  //   2. Heal: the same per-table compensation lanes and accounting as
+  //      CompensateUndoSet. Compensating WHEREs carry PK literals where
+  //      known, so lanes take key locks and clean keys of a partially
+  //      contaminated table stay available.
   //   3. Release: a table's slices leave the quarantine the moment its lane
   //      commits — availability recovers incrementally, not at the end.
   //
@@ -120,9 +125,15 @@ class RepairEngine {
   }
 
   FlavorLogReader* reader() { return reader_.get(); }
-  DbConnection* admin() { return &admin_; }
 
  private:
+  // The one accounted compensation step behind CompensateUndoSet and
+  // RepairOnline: runs the lanes and owns the repair.compensate span, the
+  // phase fields, the counters, the simulated charge and repair.done.
+  Status RunCompensation(const std::vector<CompensationBatch>& batches,
+                         RepairReport* report,
+                         const LaneCommitHook& on_commit = {});
+
   Database* db_;
   DirectConnection admin_;
   std::unique_ptr<FlavorLogReader> reader_;

@@ -45,7 +45,7 @@ struct RepairPhaseStats {
   int64_t records_scanned = 0;
   int64_t image_bytes_scanned = 0;
   int scan_segments = 1;      // chunks the log was split into
-  int compensate_lanes = 1;   // concurrent table batches
+  int compensate_lanes = 1;   // per-table compensation lanes
   int64_t compensate_stmts = 0;
   int64_t replay_stmts = 0;    // journaled statements re-executed
   int replay_components = 0;   // independent subgraphs replayed

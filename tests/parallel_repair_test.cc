@@ -8,6 +8,8 @@
 //   - End-to-end property: across flavors x seeds, repairing the same seeded
 //     history at threads=1 and threads=4 yields the same dependency graph
 //     rendering, the same undo set, and byte-identical database state.
+//   - A failing compensation lane leaves only its table uncompensated, holds
+//     nothing afterwards, and ends in the same state at threads=1 and 4.
 //
 // The account-script generator mirrors tests/chaos_test.cc (additive-constant
 // updates, fixed statement text) so histories are reproducible from a seed.
@@ -396,6 +398,95 @@ TEST(ParallelRepairPropertyTest, SerialAndParallelRepairAgreeAcrossFlavors) {
       EXPECT_GE(eng4.phase_stats().compensate_lanes, 1);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A failing compensation lane: every lane runs to its commit or rollback, so
+// the failure leaves exactly the failing table uncompensated, holds no lock
+// or transaction, and ends in the same state at every thread count.
+
+// Tables `a` and `b`; one tracked transaction updates a row in each, then an
+// untracked DELETE removes the `a` row, so compensating `a` touches 0 rows.
+void BuildFailingLaneHistory(std::unique_ptr<History>* out) {
+  const FlavorTraits traits = FlavorTraits::Postgres();
+  auto h = std::make_unique<History>(traits);
+  DirectConnection direct(&h->db);
+  proxy::TxnIdAllocator alloc;
+  proxy::TrackingProxy proxy(&direct, &alloc, traits);
+  ASSERT_TRUE(proxy.EnsureTrackingTables().ok());
+  for (const char* sql :
+       {"CREATE TABLE a (id INTEGER NOT NULL, v INTEGER, PRIMARY KEY (id))",
+        "CREATE TABLE b (id INTEGER NOT NULL, v INTEGER, PRIMARY KEY (id))"}) {
+    ASSERT_TRUE(proxy.Execute(sql).ok()) << sql;
+  }
+  ASSERT_TRUE(proxy.Execute("BEGIN").ok());
+  proxy.SetAnnotation("Setup");
+  for (const char* table : {"a", "b"}) {
+    ASSERT_TRUE(proxy.Execute(std::string("INSERT INTO ") + table +
+                              "(id, v) VALUES (1, 10), (2, 20)")
+                    .ok());
+  }
+  ASSERT_TRUE(proxy.Execute("COMMIT").ok());
+  ASSERT_TRUE(proxy.Execute("BEGIN").ok());
+  proxy.SetAnnotation("Attack");
+  ASSERT_TRUE(proxy.Execute("UPDATE a SET v = 11 WHERE id = 1").ok());
+  ASSERT_TRUE(proxy.Execute("UPDATE b SET v = 11 WHERE id = 1").ok());
+  h->attack_trid = proxy.current_txn_id();
+  ASSERT_TRUE(proxy.Execute("COMMIT").ok());
+
+  DirectConnection untracked(&h->db);
+  ASSERT_TRUE(untracked.Execute("DELETE FROM a WHERE id = 1").ok());
+  *out = std::move(h);
+}
+
+TEST(CompensationLaneTest, FailingLaneLeavesOnlyItsTableUncompensated) {
+  std::vector<uint64_t> repaired;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::unique_ptr<History> h;
+    ASSERT_NO_FATAL_FAILURE(BuildFailingLaneHistory(&h));
+    const uint64_t a_before = h->db.StateHash({"a"});
+
+    repair::RepairEngine eng(&h->db, threads);
+    auto analysis = eng.Analyze();
+    ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+    const std::set<int64_t> undo = eng.ComputeUndoSet(
+        *analysis, {h->attack_trid}, repair::DbaPolicy::TrackEverything());
+    auto report = eng.CompensateUndoSet(*analysis, undo);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInternal)
+        << report.status().ToString();
+
+    // Reads from another session are served at once: the failed lane holds
+    // no transaction and no lock. `a` is as the DELETE left it; `b` and the
+    // attack's tracking rows are healed.
+    DirectConnection reader(&h->db);
+    auto a_rows = reader.Execute("SELECT id, v FROM a");
+    ASSERT_TRUE(a_rows.ok()) << a_rows.status().ToString();
+    EXPECT_EQ(a_rows->rows.size(), 1u);
+    EXPECT_EQ(h->db.StateHash({"a"}), a_before);
+    auto b_row = reader.Execute("SELECT v FROM b WHERE id = 1");
+    ASSERT_TRUE(b_row.ok()) << b_row.status().ToString();
+    ASSERT_EQ(b_row->rows.size(), 1u);
+    EXPECT_EQ(b_row->rows[0][0].as_int(), 10);
+    for (const char* table : {"trans_dep", "annot"}) {
+      auto meta = reader.Execute(std::string("SELECT tr_id FROM ") + table +
+                                 " WHERE tr_id = " +
+                                 std::to_string(h->attack_trid));
+      ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+      EXPECT_EQ(meta->rows.size(), 0u) << table;
+    }
+    repaired.push_back(h->db.StateHash(h->db.catalog().TableNames()));
+
+    // The same call again fails on the same table, not on a transaction the
+    // first call left open.
+    auto again = eng.CompensateUndoSet(*analysis, undo);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().code(), StatusCode::kInternal)
+        << again.status().ToString();
+  }
+  ASSERT_EQ(repaired.size(), 2u);
+  EXPECT_EQ(repaired[0], repaired[1]);
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 // kUnavailable), the open-transaction pin-abort path (no deadlock against
 // the repair's drain), and the RepairOnline edge cases from the issue:
 // empty closure (no-op, quarantine never visible afterwards), whole-table
-// closure, overlapping repairs rejected with a clear status, and online
-// repair converging to the same state as offline repair.
+// closure, overlapping repairs rejected with a clear status, online repair
+// converging to the same state as offline repair (and counted like it), and
+// a failing lane keeping its table fenced.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -18,6 +19,8 @@
 #include "concurrency/quarantine.h"
 #include "core/resilient_db.h"
 #include "engine/database.h"
+#include "obs/catalog.h"
+#include "obs/metrics.h"
 #include "repair/repair_engine.h"
 #include "wire/connection.h"
 
@@ -513,8 +516,17 @@ TEST(RepairOnlineTest, KeyedClosureMatchesOfflineRepair) {
   auto off = offline.rdb->repair().Repair({off_attack}, policy);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
 
+  const obs::MetricId compensations =
+      obs::Metrics::Get().repair_compensations;
+  const int64_t counted_before = obs::CounterValue(compensations);
   auto on = online.rdb->repair().RepairOnline({on_attack}, policy);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
+
+  // Online compensation is accounted like offline compensation.
+  const int64_t counted = obs::CounterValue(compensations) - counted_before;
+  EXPECT_GT(counted, 0);
+  EXPECT_EQ(counted, on->repair.ops_compensated);
+  EXPECT_EQ(counted, online.rdb->repair().phase_stats().compensate_stmts);
 
   // Same undo set, same healed state — serve-through changes availability,
   // not the repair's outcome.
@@ -558,6 +570,52 @@ TEST(RepairOnlineTest, TableWithoutKeyQuarantinesWholeTable) {
   EXPECT_EQ(rep->slices_released, rep->slices_installed);
   EXPECT_FALSE(d.rdb->db().quarantine().active());
   EXPECT_EQ(d.Hash({"blob"}), clean);
+}
+
+// The header contract on a lane failure: the failing table stays fenced
+// and the claim stays held, while every other table is healed and
+// released. An untracked DELETE removes the row the attack's update on `a`
+// addressed, so `a`'s lane touches 0 rows.
+TEST(RepairOnlineTest, FailingLaneKeepsItsTableFenced) {
+  Deployment d;
+  for (const char* table : {"a", "b"}) {
+    Must(d.conn.get(), std::string("CREATE TABLE ") + table +
+                           " (id INTEGER, v INTEGER, PRIMARY KEY (id))");
+  }
+  Must(d.conn.get(), "BEGIN");
+  d.conn->SetAnnotation("Setup");
+  Must(d.conn.get(), "INSERT INTO a(id, v) VALUES (1, 10), (2, 20)");
+  Must(d.conn.get(), "INSERT INTO b(id, v) VALUES (1, 10), (2, 20)");
+  Must(d.conn.get(), "COMMIT");
+  Must(d.conn.get(), "BEGIN");
+  d.conn->SetAnnotation("Attack");
+  Must(d.conn.get(), "UPDATE a SET v = 11 WHERE id = 1");
+  Must(d.conn.get(), "UPDATE b SET v = 11 WHERE id = 1");
+  Must(d.conn.get(), "COMMIT");
+  DirectConnection untracked(&d.rdb->db());
+  Must(&untracked, "DELETE FROM a WHERE id = 1");
+
+  const int64_t attack = d.FindByLabel("Attack");
+  ASSERT_GT(attack, 0);
+  auto rep = d.rdb->repair().RepairOnline(
+      {attack}, repair::DbaPolicy::TrackEverything());
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kInternal)
+      << rep.status().ToString();
+
+  // `a` (fenced whole: its updated row no longer resolves) stays fenced.
+  const auto stats = d.rdb->db().quarantine().stats();
+  EXPECT_TRUE(stats.active);
+  EXPECT_EQ(stats.slices, 1);
+  auto read_a = d.conn->Execute("SELECT v FROM a WHERE id = 2");
+  EXPECT_TRUE(IsQuarantineReject(read_a.status()))
+      << read_a.status().ToString();
+
+  // `b` is healed and served again.
+  ResultSet b = Must(d.conn.get(), "SELECT v FROM b WHERE id = 1");
+  ASSERT_EQ(b.rows.size(), 1u);
+  EXPECT_EQ(b.rows[0][0].as_int(), 10);
+  d.rdb->db().quarantine().End();
 }
 
 // A live session that pinned a quarantined key must be evicted by
