@@ -1287,15 +1287,16 @@ Database::KeyValuesForRowAddresses(const std::string& table,
     if (probe != nullptr) {
       obs::Count(obs::Metrics::Get().index_scans);
       PagePins pins;
+      std::string prefix;
       for (int64_t addr : wanted) {
         auto coerced = schema.CoerceForColumn(static_cast<size_t>(addr_col),
                                               Value::Int(addr));
         if (!coerced.ok()) continue;
-        std::vector<RowLoc> locs;
-        probe->LookupPrefix({*coerced}, &locs);
-        for (RowLoc loc : locs) {
+        prefix.clear();
+        AppendEncodedKeyValue(*coerced, &prefix);
+        for (auto r = probe->Scan(prefix, prefix); r.Valid(); r.Next()) {
           std::vector<std::pair<std::string, Value>> key;
-          if (key_of(t->ReadAt(loc, &pins), &key)) {
+          if (key_of(t->ReadAt(r.loc(), &pins), &key)) {
             out.emplace_back(addr, std::move(key));
           }
         }

@@ -305,51 +305,92 @@ std::vector<AccessPath> PlanAccessPaths(
 
 // Outcome of evaluating an access path's bound expressions at runtime.
 enum class IndexProbe {
-  kScan,      // locs filled from the index
+  kScan,      // the bounds are encoded: scan the index
   kNoRows,    // an equality value was NULL: nothing can match
   kFallback,  // a value failed to coerce to the key column's type — byte
               // order would disagree with SQL comparison; scan the heap
 };
 
+// Encoded bounds of one index probe. A statement owns one pair per FROM
+// depth and reuses it for every outer row, so once the buffers have grown a
+// probe allocates nothing.
+struct ProbeKeys {
+  std::string lower, upper;
+};
+
+// Encodes the path's coerced equality prefix into both bounds, then its
+// range bounds (if any) after them.
 Result<IndexProbe> ProbeIndex(const AccessPath& path, const Schema& schema,
-                              const RowBinding& binding,
-                              std::vector<RowLoc>* locs) {
+                              const RowBinding& binding, ProbeKeys* keys) {
   const std::vector<int>& key_cols = path.index->key_columns();
-  std::vector<Value> prefix;
-  prefix.reserve(path.prefix_exprs.size());
-  for (size_t i = 0; i < path.prefix_exprs.size(); ++i) {
+  const size_t depth = path.prefix_exprs.size();
+  keys->lower.clear();
+  for (size_t i = 0; i < depth; ++i) {
     IRDB_ASSIGN_OR_RETURN(Value v, Eval(*path.prefix_exprs[i], binding));
     if (v.is_null()) return IndexProbe::kNoRows;
     auto coerced =
         schema.CoerceForColumn(static_cast<size_t>(key_cols[i]), v);
     if (!coerced.ok()) return IndexProbe::kFallback;
-    prefix.push_back(std::move(*coerced));
+    AppendEncodedKeyValue(*coerced, &keys->lower);
   }
+  keys->upper = keys->lower;
   // A NULL or uncoercible range bound degrades to unbounded on that side —
   // over-approximate, never wrong (the residual filter decides).
-  std::optional<Value> lo, hi;
-  const size_t range_col =
-      prefix.size() < key_cols.size() ? prefix.size() : 0;
-  auto bind_bound = [&](const Expr* e, std::optional<Value>* out) -> Status {
+  bool bounded = depth > 0;
+  const size_t range_col = depth < key_cols.size() ? depth : 0;
+  auto bind_bound = [&](const Expr* e, std::string* out) -> Status {
     if (e == nullptr) return Status::Ok();
     IRDB_ASSIGN_OR_RETURN(Value v, Eval(*e, binding));
     if (v.is_null()) return Status::Ok();
     auto coerced = schema.CoerceForColumn(
         static_cast<size_t>(key_cols[range_col]), v);
-    if (coerced.ok()) *out = std::move(*coerced);
+    if (!coerced.ok()) return Status::Ok();
+    AppendEncodedKeyValue(*coerced, out);
+    bounded = true;
     return Status::Ok();
   };
-  IRDB_RETURN_IF_ERROR(bind_bound(path.lo, &lo));
-  IRDB_RETURN_IF_ERROR(bind_bound(path.hi, &hi));
-  if (prefix.empty() && !lo.has_value() && !hi.has_value()) {
-    return IndexProbe::kFallback;  // everything degraded: heap scan is honest
+  IRDB_RETURN_IF_ERROR(bind_bound(path.lo, &keys->lower));
+  IRDB_RETURN_IF_ERROR(bind_bound(path.hi, &keys->upper));
+  // Everything degraded: a heap scan is honest.
+  return bounded ? IndexProbe::kScan : IndexProbe::kFallback;
+}
+
+// Visits, as (loc, bytes), every row of `table` that `path` may match: the
+// index entries its bounds select, each read where it lies, or every live
+// row when there is no path or it falls back. Counts the scan it takes and
+// touches each page it reads. The range views the tree and `keys`, which
+// no visit may change: a deeper join depth probes with its own keys, and
+// DML collects its matches before it writes.
+template <typename Visit>
+Status ScanAccessPath(const AccessPath& path, const HeapTable& table,
+                      int32_t table_id, const RowBinding& binding,
+                      ProbeKeys* keys, PagePins* pins, IoModel& io,
+                      const Visit& visit) {
+  if (path.index != nullptr) {
+    IRDB_ASSIGN_OR_RETURN(
+        IndexProbe probe, ProbeIndex(path, table.schema(), binding, keys));
+    if (probe == IndexProbe::kNoRows) return Status::Ok();
+    if (probe == IndexProbe::kScan) {
+      obs::Count(obs::Metrics::Get().index_scans);
+      for (auto r = path.index->Scan(keys->lower, keys->upper); r.Valid();
+           r.Next()) {
+        const RowLoc loc = r.loc();
+        io.TouchPage(table_id, loc.page);
+        IRDB_RETURN_IF_ERROR(visit(loc, table.ReadAt(loc, pins)));
+      }
+      return Status::Ok();
+    }
   }
-  if (lo.has_value() || hi.has_value()) {
-    path.index->ScanRange(prefix, lo, hi, locs);
-  } else {
-    path.index->LookupPrefix(prefix, locs);
+  obs::Count(obs::Metrics::Get().heap_scans);
+  for (int p = 0; p < table.page_count(); ++p) {
+    io.TouchPage(table_id, p);
+    const Page* page = table.GetPage(p, pins);
+    for (int slot = 0; slot < page->slot_count(); ++slot) {
+      if (!page->SlotLive(slot)) continue;
+      IRDB_RETURN_IF_ERROR(visit(RowLoc{p, slot}, page->RowAt(slot)));
+    }
   }
-  return IndexProbe::kScan;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -394,6 +435,7 @@ Status Database::JoinScan(
 
   // Each page this statement reads is pinned once and held until it ends.
   PagePins pins;
+  std::vector<ProbeKeys> probe_keys(n);
   std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
     if (depth == n) {
       for (const Expr* c : join_filters) {
@@ -403,9 +445,7 @@ Status Database::JoinScan(
       }
       return fn(full);
     }
-    HeapTable* table = tables[depth].first;
-
-    auto visit = [&](std::string_view row_bytes) -> Status {
+    auto visit = [&](RowLoc, std::string_view row_bytes) -> Status {
       io_model_.AccountRowsExamined(1);
       rows[depth].Reset(row_bytes);
       for (const Expr* c : table_filters[depth]) {
@@ -415,35 +455,10 @@ Status Database::JoinScan(
       }
       return recurse(depth + 1);
     };
-
-    if (paths[depth].index != nullptr) {
-      // Index nested-loop: bind the key prefix/bounds from the outer tuple.
-      std::vector<RowLoc> locs;
-      IRDB_ASSIGN_OR_RETURN(
-          IndexProbe probe,
-          ProbeIndex(paths[depth], table->schema(), full, &locs));
-      if (probe == IndexProbe::kNoRows) return Status::Ok();
-      if (probe == IndexProbe::kScan) {
-        obs::Count(obs::Metrics::Get().index_scans);
-        for (RowLoc loc : locs) {
-          io_model_.TouchPage(table_ids[depth], loc.page);
-          IRDB_RETURN_IF_ERROR(visit(table->ReadAt(loc, &pins)));
-        }
-        return Status::Ok();
-      }
-      // kFallback: heap scan below.
-    }
-
-    obs::Count(obs::Metrics::Get().heap_scans);
-    for (int p = 0; p < table->page_count(); ++p) {
-      io_model_.TouchPage(table_ids[depth], p);
-      const Page* page = table->GetPage(p, &pins);
-      for (int slot = 0; slot < page->slot_count(); ++slot) {
-        if (!page->SlotLive(slot)) continue;
-        IRDB_RETURN_IF_ERROR(visit(page->RowAt(slot)));
-      }
-    }
-    return Status::Ok();
+    // Index nested-loop: the path binds its key prefix and bounds from the
+    // outer tuple.
+    return ScanAccessPath(paths[depth], *tables[depth].first, table_ids[depth],
+                          full, &probe_keys[depth], &pins, io_model_, visit);
   };
   return recurse(0);
 }
@@ -476,30 +491,9 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
   };
 
   PagePins pins;
-  if (paths[0].index != nullptr) {
-    std::vector<RowLoc> locs;
-    IRDB_ASSIGN_OR_RETURN(IndexProbe probe,
-                          ProbeIndex(paths[0], table->schema(), binding, &locs));
-    if (probe == IndexProbe::kNoRows) return matches;
-    if (probe == IndexProbe::kScan) {
-      obs::Count(obs::Metrics::Get().index_scans);
-      for (RowLoc loc : locs) {
-        io_model_.TouchPage(table_id, loc.page);
-        IRDB_RETURN_IF_ERROR(visit(loc, table->ReadAt(loc, &pins)));
-      }
-      return matches;
-    }
-  }
-
-  obs::Count(obs::Metrics::Get().heap_scans);
-  for (int p = 0; p < table->page_count(); ++p) {
-    io_model_.TouchPage(table_id, p);
-    const Page* page = table->GetPage(p, &pins);
-    for (int slot = 0; slot < page->slot_count(); ++slot) {
-      if (!page->SlotLive(slot)) continue;
-      IRDB_RETURN_IF_ERROR(visit(RowLoc{p, slot}, page->RowAt(slot)));
-    }
-  }
+  ProbeKeys keys;
+  IRDB_RETURN_IF_ERROR(ScanAccessPath(paths[0], *table, table_id, binding,
+                                      &keys, &pins, io_model_, visit));
   return matches;
 }
 

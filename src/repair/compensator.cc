@@ -4,7 +4,6 @@
 #include <chrono>
 #include <future>
 #include <map>
-#include <memory>
 #include <thread>
 
 #include "concurrency/lock_manager.h"
@@ -35,41 +34,44 @@ class RowIdRemap {
   int64_t Resolve(const std::string& table, int64_t address) const {
     auto t = maps_.find(table);
     if (t == maps_.end()) return address;
-    int64_t cur = address;
     // Chase the chain; cycles are impossible because new row IDs are fresh.
-    uint64_t next = 0;
-    while (t->second->LookupFirst(Encode(cur), &next)) {
-      cur = static_cast<int64_t>(next);
+    for (uint64_t next = 0; Find(t->second, address, &next);) {
+      address = static_cast<int64_t>(next);
     }
-    return cur;
+    return address;
   }
 
   void Add(const std::string& table, int64_t old_address, int64_t new_address) {
-    auto [it, inserted] = maps_.try_emplace(table, nullptr);
-    if (inserted) it->second = std::make_unique<BPTree>();
-    const std::string key = Encode(old_address);
-    // One mapping per old address: replace any stale entry.
-    uint64_t prev = 0;
-    if (it->second->LookupFirst(key, &prev)) it->second->Erase(key, prev);
-    it->second->Insert(key, static_cast<uint64_t>(new_address));
+    Discard(table, old_address);  // one mapping per old address
+    maps_[table].Insert(Encode(old_address), static_cast<uint64_t>(new_address));
   }
 
   void Discard(const std::string& table, int64_t old_address) {
     auto t = maps_.find(table);
-    if (t == maps_.end()) return;
-    const std::string key = Encode(old_address);
     uint64_t prev = 0;
-    if (t->second->LookupFirst(key, &prev)) t->second->Erase(key, prev);
+    if (t != maps_.end() && Find(t->second, old_address, &prev)) {
+      t->second.Erase(Encode(old_address), prev);
+    }
   }
 
  private:
+  // One 9-byte slot: short enough for std::string's inline buffer.
   static std::string Encode(int64_t address) {
     std::string key;
     AppendEncodedKeyValue(Value::Int(address), &key);
     return key;
   }
 
-  std::map<std::string, std::unique_ptr<BPTree>> maps_;
+  // The new address `address` maps to, if any.
+  static bool Find(const BPTree& tree, int64_t address, uint64_t* out) {
+    const std::string key = Encode(address);
+    const BPTree::Cursor c = tree.Seek(key);
+    if (!c.Valid() || c.key() != key) return false;
+    *out = c.value();
+    return true;
+  }
+
+  std::map<std::string, BPTree> maps_;
 };
 
 sql::ExprPtr AddressPredicate(const std::string& column, int64_t address) {

@@ -16,19 +16,6 @@ constexpr size_t kMaxKeys = 64;
 
 }  // namespace
 
-struct BPTree::Node {
-  bool leaf = true;
-  // Leaf: entry keys (duplicates allowed), parallel to `values`.
-  // Internal: separators; keys[i] is a lower bound of children[i + 1].
-  std::vector<std::string> keys;
-  std::vector<uint64_t> values;                 // leaf only
-  std::vector<std::unique_ptr<Node>> children;  // internal only
-  Node* next = nullptr;                         // leaf chain
-};
-
-BPTree::BPTree() = default;
-BPTree::~BPTree() = default;
-
 BPTree::Node* BPTree::DescendToLeaf(std::string_view key) const {
   Node* n = root_.get();
   if (n == nullptr) return nullptr;
@@ -147,78 +134,35 @@ bool BPTree::Erase(std::string_view key, uint64_t value) {
   return false;
 }
 
-void BPTree::ScanFrom(
-    std::string_view lower,
-    const std::function<bool(std::string_view, uint64_t)>& fn) const {
+BPTree::Cursor BPTree::Seek(std::string_view lower) const {
   const Node* n = DescendToLeaf(lower);
-  if (n == nullptr) return;
-  size_t i = static_cast<size_t>(
-      std::lower_bound(n->keys.begin(), n->keys.end(), lower) -
-      n->keys.begin());
-  while (n != nullptr) {
-    for (; i < n->keys.size(); ++i) {
-      if (!fn(n->keys[i], n->values[i])) return;
-    }
-    n = n->next;
-    i = 0;
-  }
-}
-
-namespace {
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() &&
-         std::memcmp(s.data(), prefix.data(), prefix.size()) == 0;
-}
-}  // namespace
-
-void BPTree::ScanRange(std::string_view lower, std::string_view upper_prefix,
-                       std::vector<uint64_t>* out) const {
-  ScanFrom(lower, [&](std::string_view key, uint64_t value) {
-    if (key > upper_prefix && !StartsWith(key, upper_prefix)) return false;
-    out->push_back(value);
-    return true;
-  });
-}
-
-void BPTree::ScanPrefix(std::string_view prefix,
-                        std::vector<uint64_t>* out) const {
-  ScanRange(prefix, prefix, out);
-}
-
-void BPTree::Lookup(std::string_view key, std::vector<uint64_t>* out) const {
-  ScanFrom(key, [&](std::string_view k, uint64_t value) {
-    if (k != key) return false;
-    out->push_back(value);
-    return true;
-  });
-}
-
-bool BPTree::LookupFirst(std::string_view key, uint64_t* out) const {
-  bool found = false;
-  ScanFrom(key, [&](std::string_view k, uint64_t value) {
-    if (k == key) {
-      *out = value;
-      found = true;
-    }
-    return false;
-  });
-  return found;
+  if (n == nullptr) return Cursor();
+  return Cursor(n, static_cast<size_t>(std::lower_bound(n->keys.begin(),
+                                                        n->keys.end(), lower) -
+                                       n->keys.begin()));
 }
 
 // --- key encoding -----------------------------------------------------------
+
+namespace {
+
+// The tag byte and `u` big-endian, appended as one 9-byte slot.
+void AppendSlot(uint64_t u, std::string* out) {
+  char slot[9] = {'\x01'};
+  for (int i = 0; i < 8; ++i) slot[1 + i] = static_cast<char>(u >> (56 - 8 * i));
+  out->append(slot, sizeof(slot));
+}
+
+}  // namespace
 
 void AppendEncodedKeyValue(const Value& v, std::string* out) {
   if (v.is_null()) {
     out->push_back('\x00');
     return;
   }
-  out->push_back('\x01');
   if (v.is_int()) {
     // Flip the sign bit: negatives order below positives in unsigned bytes.
-    uint64_t u = static_cast<uint64_t>(v.as_int()) ^ (uint64_t{1} << 63);
-    for (int i = 7; i >= 0; --i) {
-      out->push_back(static_cast<char>((u >> (i * 8)) & 0xff));
-    }
+    AppendSlot(static_cast<uint64_t>(v.as_int()) ^ (uint64_t{1} << 63), out);
     return;
   }
   if (v.is_double()) {
@@ -233,25 +177,17 @@ void AppendEncodedKeyValue(const Value& v, std::string* out) {
     } else {
       u ^= uint64_t{1} << 63;
     }
-    for (int i = 7; i >= 0; --i) {
-      out->push_back(static_cast<char>((u >> (i * 8)) & 0xff));
-    }
+    AppendSlot(u, out);
     return;
   }
   // String: escape NUL, then a terminator ordering below every escape.
+  out->push_back('\x01');
   for (char c : v.as_string()) {
     out->push_back(c);
     if (c == '\x00') out->push_back('\xff');
   }
   out->push_back('\x00');
   out->push_back('\x01');
-}
-
-std::string EncodeKey(const std::vector<Value>& values) {
-  std::string out;
-  out.reserve(values.size() * 10);
-  for (const Value& v : values) AppendEncodedKeyValue(v, &out);
-  return out;
 }
 
 }  // namespace irdb

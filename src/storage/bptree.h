@@ -3,8 +3,8 @@
 // One concrete tree serves every ordered-lookup need in the framework:
 // primary/secondary table indexes store RowLocs packed into the uint64_t
 // payload, and the repair engine's old-rowid→new-rowid remap stores row
-// addresses. Keys are opaque byte strings compared with memcmp; the
-// EncodeKey* helpers below produce encodings whose byte order matches
+// addresses. Keys are opaque byte strings compared with memcmp;
+// AppendEncodedKeyValue below produces encodings whose byte order matches
 // Value::Compare, so an equality prefix over leading key columns is a byte
 // prefix of every matching full key — range scans are plain byte-interval
 // scans.
@@ -17,10 +17,14 @@
 // leaves, which the lower-bound descent handles. A cached rightmost-leaf
 // pointer makes sorted (ascending-key) bulk loads append without any
 // comparisons along the descent — the TPC-C loader's fast path.
+//
+// Reads go through a Cursor, Bustub's index iterator: Seek descends once to
+// the first key >= a lower bound, then Next follows the leaf chain. Callers
+// decide where a scan ends, so a probe visits entries where they lie and
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -31,9 +35,43 @@
 namespace irdb {
 
 class BPTree {
+  struct Node;
+
  public:
-  BPTree();   // out of line: Node is incomplete here, and the defaulted
-  ~BPTree();  // ctor/dtor would instantiate unique_ptr<Node>'s deleter
+  // Position on one (key, value) entry, or past the last one (!Valid()).
+  // A cursor stays valid while its tree is not modified. The engine holds
+  // each table's latch for a whole statement — shared on every FROM table
+  // of a SELECT, exclusive for DML, which collects its matching rows before
+  // it writes any — so a cursor opened inside a statement never sees an
+  // Insert or Erase.
+  class Cursor {
+   public:
+    Cursor() = default;
+    bool Valid() const { return leaf_ != nullptr; }
+    std::string_view key() const { return leaf_->keys[i_]; }
+    uint64_t value() const { return leaf_->values[i_]; }
+    void Next() {
+      ++i_;
+      SkipExhausted();
+    }
+
+   private:
+    friend class BPTree;
+    Cursor(const Node* leaf, size_t i) : leaf_(leaf), i_(i) { SkipExhausted(); }
+    // Moves past leaves whose entries are used up, including leaves Erase
+    // emptied; leaves the cursor invalid after the last leaf.
+    void SkipExhausted() {
+      while (leaf_ != nullptr && i_ >= leaf_->keys.size()) {
+        leaf_ = leaf_->next;
+        i_ = 0;
+      }
+    }
+
+    const Node* leaf_ = nullptr;
+    size_t i_ = 0;
+  };
+
+  BPTree() = default;
   BPTree(const BPTree&) = delete;
   BPTree& operator=(const BPTree&) = delete;
 
@@ -42,32 +80,25 @@ class BPTree {
   // Removes one (key, value) entry; returns false when absent.
   bool Erase(std::string_view key, uint64_t value);
 
-  // Appends every value stored under exactly `key`.
-  void Lookup(std::string_view key, std::vector<uint64_t>* out) const;
-
-  // First value under exactly `key`, if any.
-  bool LookupFirst(std::string_view key, uint64_t* out) const;
-
-  // Visits entries in ascending key order starting at the first key >=
-  // `lower`; stops when `fn` returns false or keys run out.
-  void ScanFrom(std::string_view lower,
-                const std::function<bool(std::string_view, uint64_t)>& fn) const;
-
-  // Appends values of every key in the byte interval [lower, ...] that is
-  // <= `upper_prefix` or starts with `upper_prefix` (i.e. `upper_prefix` is
-  // the full encoding of the scan's last bound column; keys extending it are
-  // deeper key columns of an equal bound value and still belong to the
-  // range). ScanPrefix(p) == ScanRange(p, p).
-  void ScanRange(std::string_view lower, std::string_view upper_prefix,
-                 std::vector<uint64_t>* out) const;
-  void ScanPrefix(std::string_view prefix, std::vector<uint64_t>* out) const;
+  // Cursor on the first entry whose key is >= `lower` (duplicates in
+  // insertion order); invalid when every key is smaller.
+  Cursor Seek(std::string_view lower) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   int height() const { return height_; }
 
  private:
-  struct Node;
+  struct Node {
+    bool leaf = true;
+    // Leaf: entry keys (duplicates allowed), parallel to `values`.
+    // Internal: separators; keys[i] is a lower bound of children[i + 1].
+    std::vector<std::string> keys;
+    std::vector<uint64_t> values;                 // leaf only
+    std::vector<std::unique_ptr<Node>> children;  // internal only
+    Node* next = nullptr;                         // leaf chain
+  };
+
   Node* DescendToLeaf(std::string_view key) const;  // lower-bound descent
 
   std::unique_ptr<Node> root_;
@@ -87,10 +118,10 @@ class BPTree {
 //   STRING bytes with 0x00 escaped as {0x00,0xFF}, terminated by {0x00,0x01}
 // Every encoding is self-delimiting, so composite keys concatenate and the
 // encoding of an equality prefix is a byte prefix of all matching full keys.
-// Values must already be coerced to the column's type (mixed int/double in
-// one column would not compare numerically).
+// INT and DOUBLE append their tag and payload as one 9-byte slot. Values
+// must already be coerced to the column's type (mixed int/double in one
+// column would not compare numerically).
 void AppendEncodedKeyValue(const Value& v, std::string* out);
-std::string EncodeKey(const std::vector<Value>& values);
 
 // RowLoc <-> uint64 payload packing for table indexes lives with the tree so
 // every index agrees on it.

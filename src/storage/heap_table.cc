@@ -16,16 +16,26 @@ HeapTable::HeapTable(std::string name, Schema schema, int page_size,
   if (pool_ != nullptr) pool_owner_ = pool_->RegisterOwner();
 }
 
-std::vector<Value> HeapTable::IndexKeyOf(const TableIndex& index,
-                                         std::string_view row_bytes) const {
-  std::vector<Value> key;
-  key.reserve(index.key_columns().size());
+std::string_view HeapTable::IndexKeyOf(const TableIndex& index,
+                                       std::string_view row_bytes) {
+  index_key_.clear();
   for (int col : index.key_columns()) {
     auto v = codec_.DecodeColumn(row_bytes, static_cast<size_t>(col));
     IRDB_CHECK(v.ok());
-    key.push_back(std::move(v).value());
+    AppendEncodedKeyValue(*v, &index_key_);
   }
-  return key;
+  return index_key_;
+}
+
+bool HeapTable::KeyColumnsEqual(const TableIndex& index, std::string_view a,
+                                std::string_view b) const {
+  for (int col : index.key_columns()) {
+    const size_t c = static_cast<size_t>(col);
+    const size_t off = static_cast<size_t>(schema_.ColumnOffset(c));
+    const size_t len = static_cast<size_t>(schema_.column(c).EncodedSize());
+    if (a.substr(off, len) != b.substr(off, len)) return false;
+  }
+  return true;
 }
 
 PageGuard HeapTable::PinPage(int page_no) const {
@@ -67,13 +77,12 @@ void HeapTable::UpdateAt(RowLoc loc, std::string_view row_bytes) {
   IRDB_CHECK(loc.page >= 0 && loc.page < page_count());
   PageGuard guard = PinPage(loc.page);
   std::string_view old_bytes = pages_[loc.page]->RowAt(loc.slot);
+  // Equal key-column bytes decode to equal keys, so only a changed key
+  // moves its entry (a -0.0 -> 0.0 change moves it to the same key).
   auto reindex = [&](TableIndex* idx) {
-    std::vector<Value> old_key = IndexKeyOf(*idx, old_bytes);
-    std::vector<Value> new_key = IndexKeyOf(*idx, row_bytes);
-    if (EncodeKey(old_key) != EncodeKey(new_key)) {
-      idx->Erase(old_key, loc);
-      idx->Insert(new_key, loc);
-    }
+    if (KeyColumnsEqual(*idx, old_bytes, row_bytes)) return;
+    idx->Erase(IndexKeyOf(*idx, old_bytes), loc);
+    idx->Insert(IndexKeyOf(*idx, row_bytes), loc);
   };
   if (index_) reindex(index_.get());
   for (const auto& sec : secondary_indexes_) reindex(sec.get());

@@ -105,9 +105,13 @@ class HeapTable {
   std::shared_mutex& latch() const { return latch_; }
 
  private:
-  // Key column values of an encoded row, in `index` order.
-  std::vector<Value> IndexKeyOf(const TableIndex& index,
-                                std::string_view row_bytes) const;
+  // Encodes `index`'s key columns of an encoded row into index_key_ and
+  // returns it; the view lasts until the next call.
+  std::string_view IndexKeyOf(const TableIndex& index,
+                              std::string_view row_bytes);
+  // True when two encoded rows hold the same bytes in `index`'s key columns.
+  bool KeyColumnsEqual(const TableIndex& index, std::string_view a,
+                       std::string_view b) const;
   PageGuard PinPage(int page_no) const;
 
   std::string name_;
@@ -127,6 +131,7 @@ class HeapTable {
   std::set<int32_t> free_pages_;
   std::unique_ptr<TableIndex> index_;
   std::vector<std::unique_ptr<TableIndex>> secondary_indexes_;
+  std::string index_key_;  // IndexKeyOf's buffer; writers hold the latch
   mutable std::shared_mutex latch_;
 };
 

@@ -34,7 +34,16 @@ Result<Value> Schema::CoerceForColumn(size_t i, const Value& v) const {
   switch (c.type) {
     case ValueType::kInt:
       if (v.is_int()) return v;
-      if (v.is_double()) return Value::Int(static_cast<int64_t>(v.as_double()));
+      if (v.is_double()) {
+        // int64 holds [-2^63, 2^63); converting anything outside it (or a
+        // NaN or infinity) is undefined, so refuse it.
+        const double d = v.as_double();
+        if (!(d >= -0x1p63 && d < 0x1p63)) {
+          return Status::Constraint("column " + c.name +
+                                    ": value out of range for INTEGER");
+        }
+        return Value::Int(static_cast<int64_t>(d));
+      }
       return Status::Constraint("column " + c.name + " expects INTEGER, got " +
                                 std::string(ValueTypeName(v.type())));
     case ValueType::kDouble:

@@ -66,7 +66,10 @@ class Schema {
   }
 
   // Validates `v` against column i (type coercion allowed int<->double,
-  // NOT NULL, string capacity). Returns the possibly-coerced value.
+  // NOT NULL, string capacity). Returns the possibly-coerced value. A
+  // DOUBLE coerces to INTEGER by truncation toward zero; one outside the
+  // int64 range, or non-finite, is a Constraint error ("out of range for
+  // INTEGER"), so an index probe falls back or leaves that bound open.
   Result<Value> CoerceForColumn(size_t i, const Value& v) const;
 
  private:

@@ -7,86 +7,82 @@
 // stable under tombstone deletes, so entries never need fixing up when other
 // rows of a page die — the per-page shift registry the compacting heap
 // needed is gone.
+//
+// The index takes keys already encoded: the heap table encodes a row's key
+// columns into one reused buffer, and the engine encodes each probe's bounds
+// into buffers its statement owns and reuses for every outer row. A probe is
+// a Range over the tree's cursor that yields each RowLoc where its entry
+// lies, so no probe allocates once those buffers have grown.
 #pragma once
 
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/bptree.h"
 #include "storage/row_codec.h"
-#include "storage/value.h"
 #include "util/status.h"
 
 namespace irdb {
 
-struct ValueVectorLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    const size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
 class TableIndex {
  public:
+  // The entries of one probe, in key order: from the first key >= `lower`
+  // up to the first key that is greater than `upper` and does not start
+  // with it. `upper` is the full encoding of the probe's last bound column,
+  // so keys extending it (deeper key columns under an equal bound value)
+  // still belong to the range, and Scan(p, p) visits every key starting
+  // with the prefix p. Bounds are inclusive: callers re-check the full
+  // predicate per row, so a strict bound only over-approximates. A Range
+  // views the tree and `upper`, and stays valid while neither changes (see
+  // BPTree::Cursor for why a statement's latches guarantee that).
+  class Range {
+   public:
+    bool Valid() const {
+      if (!cursor_.Valid()) return false;
+      const std::string_view key = cursor_.key();
+      return key <= upper_ || key.substr(0, upper_.size()) == upper_;
+    }
+    RowLoc loc() const {
+      const uint64_t packed = cursor_.value();
+      return RowLoc{UnpackPage(packed), UnpackSlot(packed)};
+    }
+    void Next() { cursor_.Next(); }
+
+   private:
+    friend class TableIndex;
+    Range(BPTree::Cursor cursor, std::string_view upper)
+        : cursor_(cursor), upper_(upper) {}
+
+    BPTree::Cursor cursor_;
+    std::string_view upper_;
+  };
+
   explicit TableIndex(std::vector<int> key_columns, std::string name = "")
       : key_columns_(std::move(key_columns)), name_(std::move(name)) {}
 
   const std::vector<int>& key_columns() const { return key_columns_; }
   const std::string& name() const { return name_; }
 
-  void Insert(const std::vector<Value>& key, RowLoc loc) {
-    tree_.Insert(EncodeKey(key), PackLoc(loc.page, loc.slot));
+  // `key` is the AppendEncodedKeyValue encoding of the row's key columns,
+  // in key_columns() order.
+  void Insert(std::string_view key, RowLoc loc) {
+    tree_.Insert(key, PackLoc(loc.page, loc.slot));
   }
 
-  void Erase(const std::vector<Value>& key, RowLoc loc) {
-    bool erased = tree_.Erase(EncodeKey(key), PackLoc(loc.page, loc.slot));
+  void Erase(std::string_view key, RowLoc loc) {
+    bool erased = tree_.Erase(key, PackLoc(loc.page, loc.slot));
     IRDB_CHECK_MSG(erased, "index erase: entry missing");
   }
 
-  // Collects row locations whose key starts with `prefix` (may be the full
-  // key), in key order. Prefix values must be coerced to the key columns'
-  // types.
-  void LookupPrefix(const std::vector<Value>& prefix,
-                    std::vector<RowLoc>* out) const {
-    std::vector<uint64_t> packed;
-    tree_.ScanPrefix(EncodeKey(prefix), &packed);
-    AppendLocs(packed, out);
-  }
-
-  // Collects row locations whose key starts with `prefix` and whose next
-  // key column lies in [lo, hi] (either bound may be absent = unbounded).
-  // Bounds are treated as inclusive — callers re-evaluate the full
-  // predicate per row, so a strict bound only over-approximates.
-  void ScanRange(const std::vector<Value>& prefix,
-                 const std::optional<Value>& lo, const std::optional<Value>& hi,
-                 std::vector<RowLoc>* out) const {
-    std::string lower = EncodeKey(prefix);
-    std::string upper = lower;
-    if (lo.has_value()) AppendEncodedKeyValue(*lo, &lower);
-    if (hi.has_value()) AppendEncodedKeyValue(*hi, &upper);
-    std::vector<uint64_t> packed;
-    tree_.ScanRange(lower, upper, &packed);
-    AppendLocs(packed, out);
+  Range Scan(std::string_view lower, std::string_view upper) const {
+    return Range(tree_.Seek(lower), upper);
   }
 
   size_t entry_count() const { return tree_.size(); }
   int height() const { return tree_.height(); }
 
  private:
-  static void AppendLocs(const std::vector<uint64_t>& packed,
-                         std::vector<RowLoc>* out) {
-    out->reserve(out->size() + packed.size());
-    for (uint64_t p : packed) {
-      out->push_back(RowLoc{UnpackPage(p), UnpackSlot(p)});
-    }
-  }
-
   std::vector<int> key_columns_;
   std::string name_;
   BPTree tree_;

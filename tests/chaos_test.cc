@@ -108,16 +108,16 @@ void RequireIndexesMatchHeap(Database* db, const std::string& when) {
     table->Scan([&](RowLoc loc, std::string_view bytes) {
       ++rows;
       for (const TableIndex* index : indexes) {
-        std::vector<Value> key;
+        std::string key;
         for (int c : index->key_columns()) {
           auto v = codec.DecodeColumn(bytes, static_cast<size_t>(c));
           Require(v.ok(), "index oracle: undecodable key column in " + name);
-          key.push_back(std::move(*v));
+          AppendEncodedKeyValue(*v, &key);
         }
-        std::vector<RowLoc> locs;
-        index->LookupPrefix(key, &locs);
         bool found = false;
-        for (RowLoc l : locs) found |= l == loc;
+        for (auto r = index->Scan(key, key); r.Valid(); r.Next()) {
+          found |= r.loc() == loc;
+        }
         Require(found, "index oracle (" + when + "): live row in " + name +
                            " unreachable through an index");
       }

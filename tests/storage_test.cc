@@ -6,13 +6,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/database.h"
+#include "obs/catalog.h"
+#include "obs/metrics.h"
 
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
@@ -32,6 +36,59 @@ Schema TestSchema(bool rowid = true) {
   cols.push_back({"s", ValueType::kString, 8, false, false});
   cols.push_back({"d", ValueType::kDouble, 0, false, false});
   return Schema(std::move(cols), rowid);
+}
+
+// The order-preserving encoding of a composite key.
+std::string Encoded(const std::vector<Value>& values) {
+  std::string out;
+  for (const Value& v : values) AppendEncodedKeyValue(v, &out);
+  return out;
+}
+
+// Every value stored under exactly `key`, in tree order.
+std::vector<uint64_t> ValuesAt(const BPTree& tree, std::string_view key) {
+  std::vector<uint64_t> out;
+  for (BPTree::Cursor c = tree.Seek(key); c.Valid() && c.key() == key;
+       c.Next()) {
+    out.push_back(c.value());
+  }
+  return out;
+}
+
+// Every entry from the first key >= `lower` to the end, in tree order.
+std::vector<std::pair<std::string, uint64_t>> WalkFrom(const BPTree& tree,
+                                                       std::string_view lower) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (BPTree::Cursor c = tree.Seek(lower); c.Valid(); c.Next()) {
+    out.emplace_back(std::string(c.key()), c.value());
+  }
+  return out;
+}
+
+std::vector<RowLoc> Collect(TableIndex::Range r) {
+  std::vector<RowLoc> out;
+  for (; r.Valid(); r.Next()) out.push_back(r.loc());
+  return out;
+}
+
+// Row locations whose key starts with `prefix` (may be the full key).
+std::vector<RowLoc> PrefixLocs(const TableIndex& index,
+                               const std::vector<Value>& prefix) {
+  const std::string p = Encoded(prefix);
+  return Collect(index.Scan(p, p));
+}
+
+// Row locations whose key starts with `prefix` and whose next key column
+// lies in [lo, hi] (an absent bound is unbounded).
+std::vector<RowLoc> RangeLocs(const TableIndex& index,
+                              const std::vector<Value>& prefix,
+                              const std::optional<Value>& lo,
+                              const std::optional<Value>& hi) {
+  std::string lower = Encoded(prefix);
+  std::string upper = lower;
+  if (lo.has_value()) AppendEncodedKeyValue(*lo, &lower);
+  if (hi.has_value()) AppendEncodedKeyValue(*hi, &upper);
+  return Collect(index.Scan(lower, upper));
 }
 
 TEST(ValueTest, TotalOrder) {
@@ -134,6 +191,22 @@ TEST(SchemaTest, CoercionRules) {
   EXPECT_FALSE(schema.CoerceForColumn(1, Value::Str("way too long")).ok());
   // type mismatch
   EXPECT_FALSE(schema.CoerceForColumn(0, Value::Str("x")).ok());
+  // a double outside int64's range, or non-finite, is refused, not wrapped
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double d : {1e30, -1e30, 0x1p63, -0x1p64, kInf, -kInf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    auto r = schema.CoerceForColumn(0, Value::Double(d));
+    ASSERT_FALSE(r.ok()) << d;
+    EXPECT_EQ(r.status().code(), StatusCode::kConstraint) << d;
+    EXPECT_NE(r.status().message().find("out of range for INTEGER"),
+              std::string::npos);
+  }
+  // the range's edges still convert
+  EXPECT_EQ(schema.CoerceForColumn(0, Value::Double(-0x1p63))->as_int(),
+            INT64_MIN);
+  EXPECT_EQ(schema.CoerceForColumn(0, Value::Double(0x1p62))->as_int(),
+            int64_t{1} << 62);
+  EXPECT_EQ(schema.CoerceForColumn(0, Value::Double(-0.9))->as_int(), 0);
 }
 
 // --- key encoding --------------------------------------------------------
@@ -173,7 +246,7 @@ TEST(KeyEncodingTest, ByteOrderMatchesValueCompare) {
   std::string one;
   AppendEncodedKeyValue(Value::Int(1), &one);
   EXPECT_LT(null_enc, one);
-  std::string composite = EncodeKey({Value::Int(1), Value::Str("x")});
+  std::string composite = Encoded({Value::Int(1), Value::Str("x")});
   EXPECT_EQ(composite.compare(0, one.size(), one), 0);
 }
 
@@ -187,20 +260,39 @@ TEST(BPTreeTest, InsertLookupEraseSmall) {
   tree.Insert("c", 3);
   tree.Insert("b", 22);  // duplicate key, distinct value
   EXPECT_EQ(tree.size(), 4u);
-  std::vector<uint64_t> vals;
-  tree.Lookup("b", &vals);
+  std::vector<uint64_t> vals = ValuesAt(tree, "b");
   std::sort(vals.begin(), vals.end());
   EXPECT_EQ(vals, (std::vector<uint64_t>{2, 22}));
   EXPECT_TRUE(tree.Erase("b", 2));
   EXPECT_FALSE(tree.Erase("b", 2));  // already gone
   EXPECT_FALSE(tree.Erase("zzz", 0));
-  vals.clear();
-  tree.Lookup("b", &vals);
+  vals = ValuesAt(tree, "b");
   EXPECT_EQ(vals, (std::vector<uint64_t>{22}));
-  uint64_t first = 0;
-  EXPECT_TRUE(tree.LookupFirst("a", &first));
-  EXPECT_EQ(first, 1u);
-  EXPECT_FALSE(tree.LookupFirst("nope", &first));
+  BPTree::Cursor first = tree.Seek("a");
+  ASSERT_TRUE(first.Valid());
+  EXPECT_EQ(first.key(), "a");
+  EXPECT_EQ(first.value(), 1u);
+  EXPECT_TRUE(ValuesAt(tree, "nope").empty());
+}
+
+// Seeks `lower` and walks on, matching each (key, value) against the
+// oracle's iteration from lower_bound(lower): duplicates in insertion order
+// on both sides. Stops after `limit` entries, or checks that both run out.
+void ExpectSeekMatchesOracle(const BPTree& tree,
+                             const std::multimap<std::string, uint64_t>& oracle,
+                             const std::string& lower,
+                             size_t limit = SIZE_MAX) {
+  auto want = oracle.lower_bound(lower);
+  BPTree::Cursor c = tree.Seek(lower);
+  for (size_t n = 0; n < limit; ++n, c.Next(), ++want) {
+    if (want == oracle.end()) {
+      EXPECT_FALSE(c.Valid()) << "seek " << lower << ": tree runs past oracle";
+      return;
+    }
+    ASSERT_TRUE(c.Valid()) << "seek " << lower << ": tree ends at entry " << n;
+    ASSERT_EQ(c.key(), want->first) << "seek " << lower << " entry " << n;
+    ASSERT_EQ(c.value(), want->second) << "seek " << lower << " entry " << n;
+  }
 }
 
 TEST(BPTreeTest, PropertyAgainstMultimapOracle) {
@@ -225,38 +317,77 @@ TEST(BPTreeTest, PropertyAgainstMultimapOracle) {
         EXPECT_FALSE(tree.Erase(key, 0));
       }
     } else {
-      std::vector<uint64_t> got;
-      tree.Lookup(key, &got);
+      std::vector<uint64_t> got = ValuesAt(tree, key);
       std::vector<uint64_t> want;
       auto [lo, hi] = oracle.equal_range(key);
       for (auto i = lo; i != hi; ++i) want.push_back(i->second);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
       EXPECT_EQ(got, want) << "step " << step << " key " << key;
+      // A seek at a random key walks across leaf boundaries in step.
+      ExpectSeekMatchesOracle(tree, oracle, rng.AlnumString(0, 6), 150);
     }
     ASSERT_EQ(tree.size(), oracle.size());
   }
   // Full ordered iteration must match the oracle exactly.
-  std::vector<std::pair<std::string, uint64_t>> walked;
-  tree.ScanFrom("", [&](std::string_view k, uint64_t v) {
-    walked.emplace_back(std::string(k), v);
-    return true;
-  });
+  std::vector<std::pair<std::string, uint64_t>> walked = WalkFrom(tree, "");
   ASSERT_EQ(walked.size(), oracle.size());
   size_t i = 0;
   for (const auto& [k, v] : oracle) {
     EXPECT_EQ(walked[i].first, k);
+    EXPECT_EQ(walked[i].second, v);
     ++i;
+  }
+  ExpectSeekMatchesOracle(tree, oracle, "");
+  ExpectSeekMatchesOracle(tree, oracle, "zzzzzzz");  // past the largest key
+  EXPECT_FALSE(tree.Seek("zzzzzzz").Valid());
+
+  // Runs of more than 64 duplicates span several leaves; a seek at the key,
+  // or just below it, must start at the run's first entry.
+  for (int i = 0; i < 300; ++i) {
+    const std::string key = i % 3 == 0 ? "M" : "M" + rng.AlnumString(1, 3);
+    tree.Insert(key, static_cast<uint64_t>(i));
+    oracle.emplace(key, static_cast<uint64_t>(i));
+  }
+  ASSERT_GT(oracle.count("M"), 64u);
+  for (const char* lower : {"M", "L", "Lzzzzz", "M0"}) {
+    ExpectSeekMatchesOracle(tree, oracle, lower);
+  }
+
+  // Erasing every key of a range empties whole leaves; a seek into the
+  // emptied range must skip them to the next live entry.
+  for (auto it = oracle.lower_bound("b"); it != oracle.lower_bound("e");) {
+    ASSERT_TRUE(tree.Erase(it->first, it->second));
+    it = oracle.erase(it);
+  }
+  ASSERT_EQ(tree.size(), oracle.size());
+  for (const char* lower : {"b", "c", "czz", "d"}) {
+    ExpectSeekMatchesOracle(tree, oracle, lower);
   }
 }
 
-TEST(BPTreeTest, RangeScanMatchesOracle) {
+TEST(BPTreeTest, SeekOnEmptyTree) {
   BPTree tree;
+  EXPECT_FALSE(tree.Seek("").Valid());
+  EXPECT_FALSE(tree.Seek("a").Valid());
+  // A tree emptied by Erase keeps its (now empty) root leaf.
+  for (uint64_t v = 0; v < 200; ++v) tree.Insert("k" + std::to_string(v), v);
+  for (uint64_t v = 0; v < 200; ++v) {
+    ASSERT_TRUE(tree.Erase("k" + std::to_string(v), v));
+  }
+  EXPECT_TRUE(tree.empty());
+  EXPECT_FALSE(tree.Seek("").Valid());
+  EXPECT_FALSE(tree.Seek("k5").Valid());
+}
+
+TEST(BPTreeTest, RangeScanMatchesOracle) {
+  // The range rule TableIndex::Scan applies over the tree's raw byte keys.
+  TableIndex index({0});
   std::multimap<std::string, uint64_t> oracle;
   Rng rng(7);
   for (int i = 0; i < 5000; ++i) {
     std::string key = rng.AlnumString(1, 4);
-    tree.Insert(key, static_cast<uint64_t>(i));
+    index.Insert(key, RowLoc{0, i});
     oracle.emplace(std::move(key), static_cast<uint64_t>(i));
   }
   for (int trial = 0; trial < 200; ++trial) {
@@ -264,7 +395,9 @@ TEST(BPTreeTest, RangeScanMatchesOracle) {
     std::string hi = rng.AlnumString(1, 4);
     if (hi < lo) std::swap(lo, hi);
     std::vector<uint64_t> got;
-    tree.ScanRange(lo, hi, &got);
+    for (RowLoc loc : Collect(index.Scan(lo, hi))) {
+      got.push_back(static_cast<uint64_t>(loc.slot));
+    }
     std::vector<uint64_t> want;
     // [lo, hi] inclusive of keys equal to or extending hi — with equal-length
     // alnum keys, extension means prefix match.
@@ -283,25 +416,25 @@ TEST(BPTreeTest, SortedBulkLoadAndHeight) {
   BPTree tree;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    tree.Insert(EncodeKey({Value::Int(i)}), static_cast<uint64_t>(i));
+    tree.Insert(Encoded({Value::Int(i)}), static_cast<uint64_t>(i));
   }
   EXPECT_EQ(tree.size(), static_cast<size_t>(n));
   EXPECT_LE(tree.height(), 5);  // fan-out 64: 100k entries fit in height <= 3
-  uint64_t v = 0;
-  ASSERT_TRUE(tree.LookupFirst(EncodeKey({Value::Int(99999)}), &v));
-  EXPECT_EQ(v, 99999u);
-  ASSERT_TRUE(tree.LookupFirst(EncodeKey({Value::Int(0)}), &v));
-  EXPECT_EQ(v, 0u);
+  std::vector<uint64_t> v = ValuesAt(tree, Encoded({Value::Int(99999)}));
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], 99999u);
+  v = ValuesAt(tree, Encoded({Value::Int(0)}));
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], 0u);
   size_t count = 0;
   uint64_t prev = 0;
-  tree.ScanFrom("", [&](std::string_view, uint64_t val) {
+  for (BPTree::Cursor c = tree.Seek(""); c.Valid(); c.Next()) {
     if (count > 0) {
-      EXPECT_EQ(val, prev + 1);
+      EXPECT_EQ(c.value(), prev + 1);
     }
-    prev = val;
+    prev = c.value();
     ++count;
-    return true;
-  });
+  }
   EXPECT_EQ(count, static_cast<size_t>(n));
 }
 
@@ -567,6 +700,186 @@ TEST(StatementPinsTest, ConcurrentJoinsCountEveryPageRead) {
   EXPECT_EQ(pool.stats().pinned, 0u);
 }
 
+// --- access paths ----------------------------------------------------------
+//
+// Each query runs against `keyed` (PRIMARY KEY(k)) or `by_s` (PRIMARY
+// KEY(s)) and against `plain`, which holds the same rows and no key. The
+// index may change only how rows are found, never which rows (or which
+// error) come back; the scan counters show the path each side took.
+
+struct PathRun {
+  std::string error;  // empty when the statement succeeded
+  int64_t affected = 0;
+  std::vector<std::vector<Value>> rows;  // sorted: paths may differ in order
+  int64_t index_scans = 0;
+  int64_t heap_scans = 0;
+};
+
+class AccessPathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExec(db_, "CREATE TABLE keyed (k INTEGER, s VARCHAR(4), d DOUBLE, "
+                  "PRIMARY KEY(k))");
+    MustExec(db_, "CREATE TABLE by_s (k INTEGER, s VARCHAR(4), d DOUBLE, "
+                  "PRIMARY KEY(s))");
+    MustExec(db_, "CREATE TABLE plain (k INTEGER, s VARCHAR(4), d DOUBLE)");
+    for (const char* t : {"keyed", "by_s", "plain"}) {
+      for (int k = 1; k <= 5; ++k) {
+        MustExec(db_, std::string("INSERT INTO ") + t + " (k, s, d) VALUES (" +
+                          std::to_string(k) + ", 's" + std::to_string(k) +
+                          "', " + std::to_string(k) + ".5)");
+      }
+    }
+  }
+
+  // Runs `sql` with every "$t" replaced by `table`.
+  PathRun Run(const std::string& sql, const std::string& table) {
+    std::string text = sql;
+    for (size_t at; (at = text.find("$t")) != std::string::npos;) {
+      text.replace(at, 2, table);
+    }
+    const int64_t is0 = obs::CounterValue(obs::Metrics::Get().index_scans);
+    const int64_t hs0 = obs::CounterValue(obs::Metrics::Get().heap_scans);
+    auto r = db_.Execute(0, text);
+    PathRun run;
+    run.index_scans = obs::CounterValue(obs::Metrics::Get().index_scans) - is0;
+    run.heap_scans = obs::CounterValue(obs::Metrics::Get().heap_scans) - hs0;
+    if (!r.ok()) {
+      run.error = r.status().ToString();
+      return run;
+    }
+    run.affected = r->affected;
+    run.rows = r->rows;
+    std::sort(run.rows.begin(), run.rows.end(),
+              [](const std::vector<Value>& a, const std::vector<Value>& b) {
+                return std::lexicographical_compare(a.begin(), a.end(),
+                                                    b.begin(), b.end());
+              });
+    return run;
+  }
+
+  // Runs `sql` on `table` and on `plain`; the answers must agree. Returns
+  // the keyed side's run.
+  PathRun Same(const std::string& sql, const std::string& table = "keyed") {
+    PathRun keyed = Run(sql, table);
+    PathRun plain = Run(sql, "plain");
+    EXPECT_EQ(keyed.error, plain.error) << sql;
+    EXPECT_EQ(keyed.affected, plain.affected) << sql;
+    EXPECT_EQ(keyed.rows, plain.rows) << sql;
+    EXPECT_EQ(plain.index_scans, 0) << sql;
+    return keyed;
+  }
+
+  Database db_{FlavorTraits::Postgres()};
+};
+
+TEST_F(AccessPathTest, NullEqualityTakesNeitherPath) {
+  PathRun r = Same("SELECT k FROM $t WHERE k = NULL");
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.index_scans, 0);
+  EXPECT_EQ(r.heap_scans, 0);
+}
+
+TEST_F(AccessPathTest, OverlongStringKeyFallsBackToHeap) {
+  PathRun r = Same("SELECT k FROM $t WHERE s = 'far too long'", "by_s");
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.index_scans, 0);
+  EXPECT_EQ(r.heap_scans, 1);
+  r = Same("SELECT k FROM $t WHERE s = 's3'", "by_s");
+  EXPECT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.index_scans, 1);
+  EXPECT_EQ(r.heap_scans, 0);
+}
+
+TEST_F(AccessPathTest, FractionalBoundOnIntKeyIsRechecked) {
+  // 2.5 coerces to the key 2; the residual check then drops k = 2.
+  PathRun r = Same("SELECT k FROM $t WHERE k = 2.5");
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.index_scans, 1);
+  r = Same("SELECT k FROM $t WHERE k > 2.5");
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][0].as_int(), 3);
+  EXPECT_EQ(r.index_scans, 1);
+  EXPECT_EQ(r.heap_scans, 0);
+}
+
+TEST_F(AccessPathTest, OutOfRangeDoubleBoundIsUnbounded) {
+  PathRun r = Same("SELECT k FROM $t WHERE k < 1e30");
+  EXPECT_EQ(r.rows.size(), 5u);
+  r = Same("SELECT k FROM $t WHERE k BETWEEN 0 AND 1e19");
+  EXPECT_EQ(r.rows.size(), 5u);
+  EXPECT_EQ(r.index_scans, 1);  // the lower bound still seeks
+  r = Same("SELECT k FROM $t WHERE k > -1e30");
+  EXPECT_EQ(r.rows.size(), 5u);
+  // An out-of-range equality value cannot be a key: the heap answers.
+  r = Same("SELECT k FROM $t WHERE k = 1e30");
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.heap_scans, 1);
+  EXPECT_EQ(r.index_scans, 0);
+  // ... and it is no INTEGER value to store.
+  auto ins = db_.Execute(0, "INSERT INTO keyed (k, s, d) VALUES (1e30, 'x', 0)");
+  ASSERT_FALSE(ins.ok());
+  EXPECT_EQ(ins.status().code(), StatusCode::kConstraint);
+  EXPECT_EQ(Same("SELECT k FROM $t").rows.size(), 5u);
+}
+
+TEST_F(AccessPathTest, NullRangeBoundIsUnboundedOnThatSide) {
+  // The NULL side leaves the scan open; the residual check still decides.
+  PathRun r = Same("SELECT k FROM $t WHERE k >= NULL AND k <= 3");
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.index_scans, 1);
+  r = Same("SELECT k FROM $t WHERE k <= 3 AND (k >= NULL OR k >= 2)");
+  EXPECT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.index_scans, 1);
+  // Both bounds NULL: nothing bounds the scan, so the heap answers.
+  r = Same("SELECT k FROM $t WHERE k > NULL AND k < NULL");
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.index_scans, 0);
+  EXPECT_EQ(r.heap_scans, 1);
+}
+
+TEST_F(AccessPathTest, SelfJoinWalksOneIndexAtTwoDepths) {
+  // Depth 0 scans k >= 2; for each of its rows, depth 1 walks the same
+  // tree while depth 0's range is still open.
+  PathRun r = Same(
+      "SELECT a.k, b.k FROM $t a, $t b "
+      "WHERE a.k >= 2 AND b.k >= a.k AND b.k <= a.k + 1");
+  ASSERT_EQ(r.rows.size(), 7u);  // (2,2) (2,3) ... (5,5)
+  EXPECT_EQ(r.index_scans, 1 + 4);
+  EXPECT_EQ(r.heap_scans, 0);
+  r = Same("SELECT a.k, b.s FROM $t a, $t b WHERE b.k = a.k + 1 AND a.k >= 1");
+  EXPECT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.index_scans, 1 + 5);
+}
+
+TEST_F(AccessPathTest, UpdateAndDeleteTakeTheIndexPath) {
+  PathRun r = Same("UPDATE $t SET s = 'u' WHERE k BETWEEN 2 AND 3");
+  EXPECT_EQ(r.affected, 2);
+  EXPECT_EQ(r.index_scans, 1);
+  EXPECT_EQ(r.heap_scans, 0);
+  // The moved keys land inside the scanned range: every match is collected
+  // before the first write, so each row moves once.
+  r = Same("UPDATE $t SET k = k + 10 WHERE k >= 4");
+  EXPECT_EQ(r.affected, 2);
+  EXPECT_EQ(r.index_scans, 1);
+  r = Same("DELETE FROM $t WHERE k = 14");
+  EXPECT_EQ(r.affected, 1);
+  EXPECT_EQ(r.index_scans, 1);
+  EXPECT_EQ(r.heap_scans, 0);
+  r = Same("SELECT k, s, d FROM $t");
+  ASSERT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.rows.back()[0].as_int(), 15);
+  EXPECT_EQ(Same("SELECT k FROM $t WHERE k = 15").index_scans, 1);
+}
+
+TEST_F(AccessPathTest, ResidualErrorsMatch) {
+  PathRun r = Same("SELECT k FROM $t WHERE k >= 1 AND s = 5");
+  EXPECT_FALSE(r.error.empty());
+}
+
 // --- Page: tombstone-slot semantics --------------------------------------
 
 TEST(PageTest, DeleteTombstonesWithoutMovingRows) {
@@ -735,8 +1048,7 @@ TEST(HeapTableTest, IndexStaysExactUnderTombstoneDeletes) {
   // Delete k=2; every other key must still resolve to its (unmoved) slot.
   table.DeleteAt(RowLoc{0, 2});
   for (int k = 0; k < 8; ++k) {
-    std::vector<RowLoc> locs;
-    table.index()->LookupPrefix({Value::Int(k)}, &locs);
+    std::vector<RowLoc> locs = PrefixLocs(*table.index(), {Value::Int(k)});
     if (k == 2) {
       EXPECT_TRUE(locs.empty());
       continue;
@@ -766,8 +1078,7 @@ TEST(HeapTableTest, NonUniqueKeysAcrossPages) {
   ASSERT_EQ(table.page_count(), 3);
   table.DeleteAt(RowLoc{0, 0});  // one of the three "dup" rows
   table.DeleteAt(RowLoc{1, 1});  // "d"
-  std::vector<RowLoc> locs;
-  table.index()->LookupPrefix({Value::Str("dup")}, &locs);
+  std::vector<RowLoc> locs = PrefixLocs(*table.index(), {Value::Str("dup")});
   ASSERT_EQ(locs.size(), 2u);
   for (RowLoc loc : locs) {
     auto v = codec.DecodeColumn(table.ReadAt(loc), 1);
@@ -775,15 +1086,13 @@ TEST(HeapTableTest, NonUniqueKeysAcrossPages) {
     EXPECT_EQ(v->as_string(), "dup");
   }
   for (const char* k : {"a", "b", "c", "e", "f", "g", "h", "i"}) {
-    locs.clear();
-    table.index()->LookupPrefix({Value::Str(k)}, &locs);
+    locs = PrefixLocs(*table.index(), {Value::Str(k)});
     ASSERT_EQ(locs.size(), 1u) << k;
     auto v = codec.DecodeColumn(table.ReadAt(locs[0]), 1);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(v->as_string(), k);
   }
-  locs.clear();
-  table.index()->LookupPrefix({Value::Str("d")}, &locs);
+  locs = PrefixLocs(*table.index(), {Value::Str("d")});
   EXPECT_TRUE(locs.empty());
 }
 
@@ -798,11 +1107,46 @@ TEST(HeapTableTest, IndexFollowsKeyUpdates) {
   RowLoc loc = table.Insert(codec.Encode(row).value());
   row.values[0] = Value::Int(2);
   table.UpdateAt(loc, codec.Encode(row).value());
-  std::vector<RowLoc> locs;
-  table.index()->LookupPrefix({Value::Int(1)}, &locs);
+  std::vector<RowLoc> locs = PrefixLocs(*table.index(), {Value::Int(1)});
   EXPECT_TRUE(locs.empty());
-  table.index()->LookupPrefix({Value::Int(2)}, &locs);
+  locs = PrefixLocs(*table.index(), {Value::Int(2)});
   EXPECT_EQ(locs.size(), 1u);
+
+  // An update of a non-key column leaves every entry in place: the three
+  // rows under k=2 keep their insertion order (a re-insert would move the
+  // updated one to the end of the run).
+  row.rowid = 2;
+  const RowLoc second = table.Insert(codec.Encode(row).value());
+  row.rowid = 3;
+  const RowLoc third = table.Insert(codec.Encode(row).value());
+  const std::vector<RowLoc> before = PrefixLocs(*table.index(), {Value::Int(2)});
+  ASSERT_EQ(before.size(), 3u);
+  EXPECT_TRUE(before[0] == loc && before[1] == second && before[2] == third);
+  row.rowid = 1;
+  row.values[1] = Value::Str("y");
+  row.values[2] = Value::Double(7.5);
+  table.UpdateAt(loc, codec.Encode(row).value());
+  const std::vector<RowLoc> after = PrefixLocs(*table.index(), {Value::Int(2)});
+  ASSERT_EQ(after.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) EXPECT_TRUE(after[i] == before[i]) << i;
+  EXPECT_EQ(table.index()->entry_count(), 3u);
+
+  // -0.0 and 0.0 are one key: flipping a DOUBLE key's sign of zero keeps
+  // exactly one entry, found by either spelling.
+  HeapTable dt("d", schema, kDefaultPageSize);
+  dt.SetPrimaryIndex({2});
+  row.values[2] = Value::Double(-0.0);
+  const RowLoc zero = dt.Insert(codec.Encode(row).value());
+  for (double d : {0.0, -0.0, 0.0}) {
+    row.values[2] = Value::Double(d);
+    dt.UpdateAt(zero, codec.Encode(row).value());
+    EXPECT_EQ(dt.index()->entry_count(), 1u) << d;
+    for (double probe : {0.0, -0.0}) {
+      locs = PrefixLocs(*dt.index(), {Value::Double(probe)});
+      ASSERT_EQ(locs.size(), 1u) << d << " probed as " << probe;
+      EXPECT_TRUE(locs[0] == zero);
+    }
+  }
 }
 
 TEST(HeapTableTest, PrefixLookupMultiColumn) {
@@ -821,14 +1165,11 @@ TEST(HeapTableTest, PrefixLookupMultiColumn) {
       table.Insert(codec.Encode(row).value());
     }
   }
-  std::vector<RowLoc> locs;
-  table.index()->LookupPrefix({Value::Int(1)}, &locs);
+  std::vector<RowLoc> locs = PrefixLocs(*table.index(), {Value::Int(1)});
   EXPECT_EQ(locs.size(), 4u);
-  locs.clear();
-  table.index()->LookupPrefix({Value::Int(1), Value::Int(2)}, &locs);
+  locs = PrefixLocs(*table.index(), {Value::Int(1), Value::Int(2)});
   EXPECT_EQ(locs.size(), 1u);
-  locs.clear();
-  table.index()->LookupPrefix({Value::Int(9)}, &locs);
+  locs = PrefixLocs(*table.index(), {Value::Int(9)});
   EXPECT_TRUE(locs.empty());
 }
 
@@ -848,8 +1189,8 @@ TEST(HeapTableTest, RangeScanOnNextKeyColumn) {
       table.Insert(codec.Encode(row).value());
     }
   }
-  std::vector<RowLoc> locs;
-  table.index()->ScanRange({Value::Int(1)}, Value::Int(3), Value::Int(6), &locs);
+  std::vector<RowLoc> locs =
+      RangeLocs(*table.index(), {Value::Int(1)}, Value::Int(3), Value::Int(6));
   ASSERT_EQ(locs.size(), 4u);  // b in {3,4,5,6}
   for (size_t i = 0; i < locs.size(); ++i) {
     auto a = codec.DecodeColumn(table.ReadAt(locs[i]), 0);
@@ -859,11 +1200,9 @@ TEST(HeapTableTest, RangeScanOnNextKeyColumn) {
     EXPECT_EQ(b->as_int(), 3 + static_cast<int64_t>(i));  // key order
   }
   // Open-ended bounds.
-  locs.clear();
-  table.index()->ScanRange({Value::Int(2)}, Value::Int(8), std::nullopt, &locs);
+  locs = RangeLocs(*table.index(), {Value::Int(2)}, Value::Int(8), std::nullopt);
   EXPECT_EQ(locs.size(), 2u);  // b in {8,9}
-  locs.clear();
-  table.index()->ScanRange({Value::Int(0)}, std::nullopt, Value::Int(2), &locs);
+  locs = RangeLocs(*table.index(), {Value::Int(0)}, std::nullopt, Value::Int(2));
   EXPECT_EQ(locs.size(), 3u);  // b in {0,1,2}
 }
 
@@ -884,24 +1223,19 @@ TEST(HeapTableTest, SecondaryIndexBackfillAndMaintenance) {
   ASSERT_FALSE(table.AddSecondaryIndex("T_BY_S", {1}).ok());  // case-insensitive
   const TableIndex* sec = table.FindSecondaryIndex("t_by_s");
   ASSERT_NE(sec, nullptr);
-  std::vector<RowLoc> locs;
-  sec->LookupPrefix({Value::Str("odd")}, &locs);
+  std::vector<RowLoc> locs = PrefixLocs(*sec, {Value::Str("odd")});
   EXPECT_EQ(locs.size(), 3u);
   // Maintained on insert / delete / key update.
   RowLoc loc = table.Insert(make(100, "odd"));
-  locs.clear();
-  sec->LookupPrefix({Value::Str("odd")}, &locs);
+  locs = PrefixLocs(*sec, {Value::Str("odd")});
   EXPECT_EQ(locs.size(), 4u);
   table.DeleteAt(loc);
-  locs.clear();
-  sec->LookupPrefix({Value::Str("odd")}, &locs);
+  locs = PrefixLocs(*sec, {Value::Str("odd")});
   EXPECT_EQ(locs.size(), 3u);
   table.UpdateAt(RowLoc{0, 1}, make(1, "even"));  // k=1 flips odd -> even
-  locs.clear();
-  sec->LookupPrefix({Value::Str("odd")}, &locs);
+  locs = PrefixLocs(*sec, {Value::Str("odd")});
   EXPECT_EQ(locs.size(), 2u);
-  locs.clear();
-  sec->LookupPrefix({Value::Str("even")}, &locs);
+  locs = PrefixLocs(*sec, {Value::Str("even")});
   EXPECT_EQ(locs.size(), 4u);
   EXPECT_TRUE(table.DropSecondaryIndex("t_by_s"));
   EXPECT_FALSE(table.DropSecondaryIndex("t_by_s"));
